@@ -48,6 +48,85 @@ let test_errors () =
   check_bool "unterminated string" true (parse_fails "node a :A {x: \"oops}");
   check_bool "unterminated props" true (parse_fails "node a :A {x: 1")
 
+(* The exact error of every PGF error class, as [Pgf.pp_error] renders
+   it.  Slurp ([parse]), file streaming ([load]) and the tolerant reader
+   ([Stream.read_pgf], which reports the line as a fault and keeps the
+   message) must all agree with this table byte for byte. *)
+let error_table =
+  [
+    (* both handles unknown: the target is named (right-to-left lookup) *)
+    ("node a :A\nedge x -> y :r", 2, {|unknown node handle "y"|});
+    ("node a :A\nedge a -> zz :r", 2, {|unknown node handle "zz"|});
+    ("node a :A\nnode a :B", 2, {|duplicate node handle "a"|});
+    ("node a :A\nnode a :B junk", 2, {|duplicate node handle "a"|});
+    ("vertex a :A", 1, {|expected 'node' or 'edge', found "vertex"|});
+    ("node a", 1, "expected ':', found end of line");
+    ("node a :", 1, "expected identifier, found end of line");
+    ("node 1 :A", 1, "expected identifier, found '1'");
+    ("node a :A junk", 1, "trailing characters");
+    ("edge a b c :r", 1, "expected '->'");
+    ("node a :A {x: \"oops}", 1, "unterminated string literal");
+    ("node a :A {x: \"oops\\", 1, "unterminated escape");
+    ("node a :A {x: \"\\q\"}", 1, "invalid escape \\q");
+    ("node a :A {x: 1", 1, "expected '}', found end of line");
+    ("node a :A {x 1}", 1, "expected ':', found '1'");
+    ("node a :A {x: [1, 2}", 1, "expected ']', found '}'");
+    ("node a :A {x: \"\\u1_2f\"}", 1, "malformed \\u escape");
+    ("node a :A {x: \"\\u-012\"}", 1, "malformed \\u escape");
+    ("node a :A {x: \"\\u0x1f\"}", 1, "malformed \\u escape");
+    ("node a :A {x: \"\\u00gg\"}", 1, "malformed \\u escape");
+    ("node a :A {x: \"\\u12\"}", 1, "malformed \\u escape");
+    ("node a :A {x: \"\\u12", 1, "truncated \\u escape");
+    ("node a :A {x: \"\\u0100\"}", 1, "\\u escape above \\u00FF is not supported by PGF");
+    ("node a :A {x: -}", 1, {|malformed integer "-"|});
+    ("node a :A {x: 99999999999999999999}", 1, {|malformed integer "99999999999999999999"|});
+    ("node a :A {x: 1e}", 1, {|malformed float "1e"|});
+    ("node a :A {x: -.}", 1, {|malformed float "-."|});
+    ("node a :A {x: -foo}", 1, "unknown numeric literal -foo");
+    ("node a :A {x: }", 1, "expected a value, found '}'");
+    ("node a :A {x:", 1, "expected a value, found end of line");
+    (* String.trim strips a leading or trailing form feed or CR, but the
+       token scanner only skips blanks, tabs and CRs inside the line *)
+    ("node a\x0c:A", 1, "expected ':', found '\\012'");
+    ("node a :A\n\x0cnode a :B\r", 2, {|duplicate node handle "a"|});
+  ]
+
+let expected_text line message = Printf.sprintf "PGF parse error at line %d: %s" line message
+let error_text e = Format.asprintf "%a" Pgf.pp_error e
+
+let test_exact_errors () =
+  List.iter
+    (fun (src, line, message) ->
+      let expected = expected_text line message in
+      (match Pgf.parse src with
+      | Ok _ -> Alcotest.failf "parse accepted %S" src
+      | Error e -> Alcotest.(check string) ("parse " ^ String.escaped src) expected (error_text e));
+      let path = Filename.temp_file "gpgs_pgf" ".pgf" in
+      let oc = open_out_bin path in
+      output_string oc src;
+      close_out oc;
+      let loaded = Pgf.load path in
+      Sys.remove path;
+      (match loaded with
+      | Ok _ -> Alcotest.failf "load accepted %S" src
+      | Error e -> Alcotest.(check string) ("load " ^ String.escaped src) expected (error_text e));
+      let o = Graphql_pg.Stream.read_pgf (Graphql_pg.Stream.of_string src) in
+      match List.rev o.Graphql_pg.Stream.faults with
+      | [] -> Alcotest.failf "tolerant reader accepted %S" src
+      | f :: _ ->
+        Alcotest.(check string)
+          ("stream " ^ String.escaped src)
+          expected
+          (error_text { Pgf.line = f.Graphql_pg.Stream.record; message = f.message }))
+    error_table
+
+(* What String.trim strips is not an error: a form feed or CR at either
+   end of a record, and blank-only lines. *)
+let test_trimmed_ends () =
+  let g = parse_ok "\x0cnode a :A\x0c\r\n  \t\nnode b :B {x: 1}\r\n\x0c\n\redge a -> b :r\x0c" in
+  Alcotest.(check int) "nodes" 2 (G.node_count g);
+  Alcotest.(check int) "edges" 1 (G.edge_count g)
+
 let test_escapes () =
   let g = parse_ok {|node a :A {s: "line\nbreak \"quoted\" back\\slash"}|} in
   let a = List.hd (G.nodes g) in
@@ -135,6 +214,8 @@ let suite =
     Alcotest.test_case "basics" `Quick test_basic;
     Alcotest.test_case "edge handle optional" `Quick test_edge_handle_optional;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "exact error messages" `Quick test_exact_errors;
+    Alcotest.test_case "trimmed record ends" `Quick test_trimmed_ends;
     Alcotest.test_case "escapes" `Quick test_escapes;
     Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
     Alcotest.test_case "print/parse round-trip" `Quick test_print_parse_round_trip;
