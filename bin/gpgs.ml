@@ -83,11 +83,16 @@ let load_schema ?lang ~lenient path =
   | Ok (sch, warnings) -> Ok (sch, warnings)
   | Error diags -> Error (path, diags)
 
-let load_graph path =
-  match GP.Pgf.load path with
-  | Ok g -> Ok g
-  | Error e ->
-    Error (path, [ GP.Diag.error ~code:"IO001" (Format.asprintf "%a" GP.Pgf.pp_error e) ])
+let pgf_error path e =
+  Error (path, [ GP.Diag.error ~code:"IO001" (Format.asprintf "%a" GP.Pgf.pp_error e) ])
+
+(* A PGF graph for the string-level consumers (naive engine, stats,
+   query, repair, export)... *)
+let load_graph path = match GP.Pgf.load path with Ok g -> Ok g | Error e -> pgf_error path e
+
+(* ...and as staged columns for everything that freezes it. *)
+let load_columns path =
+  match GP.Pgf.load_columns path with Ok s -> Ok s | Error e -> pgf_error path e
 
 (* Fault-tolerant ingestion (--stream / --quarantine / --max-input-errors):
    malformed records become IO002/IO003 diagnostics and a possibly-partial
@@ -95,8 +100,17 @@ let load_graph path =
 let load_graph_streaming ?quarantine ?max_input_errors path =
   match GP.Stream.load_pgf ?max_errors:max_input_errors ?quarantine path with
   | Ok o -> Ok (o, GP.Diag_report.ingest_diagnostics ~file:path o)
-  | Error e ->
-    Error (path, [ GP.Diag.error ~code:"IO001" (Format.asprintf "%a" GP.Pgf.pp_error e) ])
+  | Error e -> pgf_error path e
+
+(* The check of an ingested PGF graph: the naive oracle reads the thawed
+   graph, every compiled engine the columns frozen against the plan. *)
+let check_columns ~engine ~mode ?domains ?shards ~gov plan columns =
+  if engine = GP.Validate.Naive then
+    let g = GP.Staging.thaw columns in
+    fun () -> GP.Validate.check_compiled ~engine ~mode ?domains ?shards ~gov plan g
+  else
+    let snap = GP.Snapshot.freeze (GP.Plan.symtab plan) columns in
+    fun () -> GP.Validate.check_snapshot ~engine ~mode ?domains ?shards ~gov plan snap
 
 (* Binary snapshot input (--snapshot / gpgs snapshot): IO004/IO005
    failures (bad magic, version, layout, checksum) carry their stable
@@ -396,7 +410,7 @@ let validate_cmd =
       end
       else begin
         let streaming = stream || quarantine <> None || max_input_errors <> None in
-        let g, ingest_diags, ingest_summary =
+        let columns, ingest_diags, ingest_summary =
           if streaming then begin
             let outcome, diags =
               or_die ~fmt ~command:"validate"
@@ -404,10 +418,11 @@ let validate_cmd =
             in
             (outcome.GP.Stream.graph, diags, GP.Diag_report.ingest_summary outcome)
           end
-          else (or_die ~fmt ~command:"validate" (load_graph graph_path), [], [])
+          else (or_die ~fmt ~command:"validate" (load_columns graph_path), [], [])
         in
-        ((fun () -> GP.Validate.check ~engine ~mode ?domains ?shards ~gov sch g),
-         ingest_diags, ingest_summary)
+        ( check_columns ~engine ~mode ?domains ?shards ~gov (GP.Validate.compile sch) columns,
+          ingest_diags,
+          ingest_summary )
       end
     in
     let outcome =
@@ -546,16 +561,16 @@ let batch_cmd =
             | Ok (o, diags) -> Ok (o.GP.Stream.graph, diags, o.GP.Stream.complete)
             | Error (_, diags) -> Error diags
           else
-            match load_graph path with
-            | Ok g -> Ok (g, [], true)
+            match load_columns path with
+            | Ok columns -> Ok (columns, [], true)
             | Error (_, diags) -> Error diags
         in
         match ingested with
         | Error diags -> unreadable path diags
-        | Ok (g, ingest_diags, ingest_complete) ->
+        | Ok (columns, ingest_diags, ingest_complete) ->
           let gov = governor ?deadline_ms ?max_violations () in
-          finish_job path ingest_diags ingest_complete (fun () ->
-              GP.Validate.check_compiled ~engine ~mode ?domains ?shards ~gov plan g)
+          finish_job path ingest_diags ingest_complete
+            (check_columns ~engine ~mode ?domains ?shards ~gov plan columns)
     in
     let batch = GP.Supervisor.make_batch (List.map run_job graph_paths) in
     let diags = GP.Supervisor.batch_diagnostics batch in
@@ -852,7 +867,7 @@ let export_cmd =
 let snapshot_build_cmd =
   let run graph_path output stream quarantine max_input_errors fmt =
     let streaming = stream || quarantine <> None || max_input_errors <> None in
-    let g, ingest_diags =
+    let columns, ingest_diags =
       if streaming then begin
         let outcome, diags =
           or_die ~fmt ~command:"snapshot"
@@ -860,18 +875,12 @@ let snapshot_build_cmd =
         in
         (outcome.GP.Stream.graph, diags)
       end
-      else (or_die ~fmt ~command:"snapshot" (load_graph graph_path), [])
+      else (or_die ~fmt ~command:"snapshot" (load_columns graph_path), [])
     in
     (* a fresh symbol table: the file stores its own symbols, and the
        loader remaps them into whatever plan it is validated against *)
     let st = GP.Symtab.create () in
-    let written =
-      match GP.Snapshot.build st g with
-      | snap -> GP.Snapshot_io.write st snap output
-      | exception GP.Snapshot.Build_error msg ->
-        Error { GP.Snapshot_io.code = "IO001"; message = graph_path ^ ": " ^ msg }
-    in
-    match written with
+    match GP.Snapshot_io.write st (GP.Snapshot.freeze st columns) output with
     | Error e ->
       die ~fmt ~command:"snapshot" ~text:(e.GP.Snapshot_io.code ^ ": " ^ e.GP.Snapshot_io.message)
         [ GP.Diag.error ~code:e.GP.Snapshot_io.code e.GP.Snapshot_io.message ]
@@ -879,14 +888,14 @@ let snapshot_build_cmd =
       (match fmt with
       | Text ->
         List.iter (fun d -> prerr_endline (GP.Diag.to_text d)) ingest_diags;
-        Format.printf "%a frozen to %s@." GP.Property_graph.pp g output
+        Format.printf "%a frozen to %s@." GP.Staging.pp columns output
       | Json -> ());
       finish ~fmt ~command:"snapshot"
         ~summary:
           [
             ("snapshot_file", GP.Json.String output);
-            ("nodes", GP.Json.Int (GP.Property_graph.node_count g));
-            ("edges", GP.Json.Int (GP.Property_graph.edge_count g));
+            ("nodes", GP.Json.Int (GP.Staging.node_count columns));
+            ("edges", GP.Json.Int (GP.Staging.edge_count columns));
           ]
         ingest_diags
   in
@@ -1168,6 +1177,11 @@ let () =
     with
     | Sys_error msg ->
       prerr_endline ("error: " ^ msg);
+      exit_input
+    | Unix.Unix_error (e, _, path) ->
+      (* an artifact write through Durable that failed (no such
+         directory, no space...); the destination is untouched *)
+      prerr_endline ("error: " ^ path ^ ": " ^ Unix.error_message e);
       exit_input
     | GP.Snapshot.Build_error msg ->
       prerr_endline ("error: " ^ msg);

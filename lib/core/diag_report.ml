@@ -77,7 +77,7 @@ let check_summary sch (issues : Pg_schema.Consistency.issue list)
 (* ---- streaming ingestion (pg_graph cannot depend on pg_diag, so the
    Stream -> Diag bridge lives here) ---- *)
 
-let ingest_diagnostics ~file (o : Pg_graph.Stream.outcome) =
+let ingest_diagnostics ~file (o : _ Pg_graph.Stream.outcome) =
   (* IO-family diagnostics render as bare messages in text mode, so each
      message carries the file and record context itself *)
   let skipped =
@@ -97,7 +97,7 @@ let ingest_diagnostics ~file (o : Pg_graph.Stream.outcome) =
       ]
   else skipped
 
-let ingest_summary (o : Pg_graph.Stream.outcome) =
+let ingest_summary (o : _ Pg_graph.Stream.outcome) =
   [
     ("ingest_complete", Json.Bool o.complete);
     ("records", Json.Int o.records);

@@ -27,13 +27,13 @@ val check_summary :
   (string * Pg_sat.Satisfiability.report) list ->
   (string * Pg_json.Json.t) list
 
-val ingest_diagnostics : file:string -> Pg_graph.Stream.outcome -> Pg_diag.Diag.t list
+val ingest_diagnostics : file:string -> _ Pg_graph.Stream.outcome -> Pg_diag.Diag.t list
 (** One [IO002] per skipped record, plus a trailing [IO003] when the
     error budget stopped ingestion early.  The [Stream] -> [Diag] bridge
     lives here because [pg_graph] sits below [pg_diag] in the library
     stack. *)
 
-val ingest_summary : Pg_graph.Stream.outcome -> (string * Pg_json.Json.t) list
+val ingest_summary : _ Pg_graph.Stream.outcome -> (string * Pg_json.Json.t) list
 (** Summary fields merged into a command's envelope when streaming
     ingestion was used: [ingest_complete], [records], [records_skipped]. *)
 

@@ -19,7 +19,8 @@
       lowering onto the shared schema IR), with {!Frontend} selecting
       between them by name or file extension,
     - {!Value}, {!Property_graph}, {!Builder}, {!Pgf}, {!Stats}, plus the
-      compiled representations {!Symtab} (string interner), {!Snapshot}
+      compiled representations {!Symtab} (string interner), {!Staging}
+      (the growable columns every ingest fills), {!Snapshot}
       (frozen off-heap CSR view) and {!Snapshot_io} (persisted binary
       snapshots with mmap loading), and the streaming fault-tolerant
       ingestion layer
@@ -83,6 +84,7 @@ module Fault = Pg_fault.Fault
 module Durable = Pg_graph.Durable
 module Stats = Pg_graph.Stats
 module Symtab = Pg_graph.Symtab
+module Staging = Pg_graph.Staging
 module Snapshot = Pg_graph.Snapshot
 module Snapshot_io = Pg_graph.Snapshot_io
 module Partition = Pg_graph.Partition

@@ -30,22 +30,21 @@ let of_string ?(chunk_size = default_chunk_size) text =
       Some s
     end
 
+(* A line that lies inside one chunk is handed over as a range of that
+   chunk; only a line split across chunks is copied (into [carry]). *)
 let iter_lines source f =
   let carry = Buffer.create 256 in
   let lineno = ref 1 in
   let rec drain chunk start =
     match String.index_from_opt chunk start '\n' with
     | Some i ->
-      let line =
-        if Buffer.length carry = 0 then String.sub chunk start (i - start)
-        else begin
-          Buffer.add_substring carry chunk start (i - start);
-          let l = Buffer.contents carry in
-          Buffer.clear carry;
-          l
-        end
-      in
-      f !lineno line;
+      if Buffer.length carry = 0 then f !lineno chunk start i
+      else begin
+        Buffer.add_substring carry chunk start (i - start);
+        let l = Buffer.contents carry in
+        Buffer.clear carry;
+        f !lineno l 0 (String.length l)
+      end;
       incr lineno;
       drain chunk (i + 1)
     | None -> Buffer.add_substring carry chunk start (String.length chunk - start)
@@ -55,6 +54,19 @@ let iter_lines source f =
     | Some chunk ->
       drain chunk 0;
       loop ()
-    | None -> if Buffer.length carry > 0 then f !lineno (Buffer.contents carry)
+    | None ->
+      if Buffer.length carry > 0 then begin
+        let l = Buffer.contents carry in
+        f !lineno l 0 (String.length l)
+      end
   in
   loop ()
+
+let whole text =
+  let given = ref (text = "") in
+  fun () ->
+    if !given then None
+    else begin
+      given := true;
+      Some text
+    end

@@ -24,11 +24,18 @@ val of_string : ?chunk_size:int -> string -> source
     the streaming readers with every chunk size from 1 byte up to the
     whole input to pin down that chunking is unobservable. *)
 
-val iter_lines : source -> (int -> string -> unit) -> unit
-(** [iter_lines source f] calls [f lineno line] for every
+val whole : string -> source
+(** The string as a single chunk, without copying it: a loader reading
+    through {!iter_lines} then scans the text in place. *)
+
+val iter_lines : source -> (int -> string -> int -> int -> unit) -> unit
+(** [iter_lines source f] calls [f lineno s start stop] for every
     ['\n']-terminated line (terminator stripped) and for a non-empty
-    final line.  Line numbers are 1-based and count terminators, exactly
-    like [String.split_on_char '\n'] — whose trailing [""] artifact is
-    the only line this iteration does not deliver, which is observably
+    final line; the line is the range [\[start, stop)] of [s], which is
+    the chunk itself when the line lies inside one chunk and a fresh
+    string only when it spans several (so a line costs no copy).  Line
+    numbers are 1-based and count terminators, exactly like
+    [String.split_on_char '\n'] — whose trailing [""] artifact is the
+    only line this iteration does not deliver, which is observably
     identical for consumers that skip blank lines.  Exceptions raised by
     [f] abort the iteration and propagate. *)

@@ -150,10 +150,7 @@ let to_string g =
   line {|</graphml>|};
   Buffer.contents buf
 
-let save path g =
-  let oc = open_out_bin path in
-  output_string oc (to_string g);
-  close_out oc
+let save path g = Durable.write_file path [ to_string g ]
 
 (* ------------------------------------------------------------------ *)
 (* Import: a minimal XML event scanner covering the subset {!to_string}

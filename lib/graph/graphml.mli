@@ -23,6 +23,10 @@ val pp_error : Format.formatter -> error -> unit
 
 val to_string : Property_graph.t -> string
 val save : string -> Property_graph.t -> unit
+(** [save path g] writes [to_string g] to a file through {!Durable}:
+    after a crash the file is absent, whole and old, or whole and new.
+    @raise Unix.Unix_error or [Sys_error] if the write fails (the
+    destination is then untouched). *)
 
 val parse : string -> (Property_graph.t, error) result
 (** Parse a GraphML document produced by {!to_string}.  Nodes receive

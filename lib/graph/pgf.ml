@@ -7,316 +7,416 @@ let pp_error ppf e =
 
 exception Error of error
 
-(* A tiny per-line scanner.  PGF is line-oriented, so each declaration is
-   scanned independently; values never span lines. *)
-module Scan = struct
-  type t = { s : string; mutable pos : int; line : int }
+(* The scanner.  PGF is line-oriented, so each record is scanned on its
+   own; values never span lines.  One scanner is reused for every line:
+   it reads the range [pos, stop) of [s] by index — the whole document
+   for [parse], a chunk or a carried line when streaming.  Its helpers
+   are closed functions (no local closures), so scanning allocates only
+   the values it returns, and an escape-free string literal is one
+   [String.sub]. *)
+type scanner = {
+  mutable s : string;
+  mutable pos : int;
+  mutable stop : int;
+  mutable line : int;
+  (* the record's properties: key ranges of [s] and their values *)
+  mutable key_pos : int array;
+  mutable key_len : int array;
+  mutable vals : Value.t array;
+  mutable np : int;
+}
 
-  let make line s = { s; pos = 0; line }
-  let fail sc message = raise (Error { line = sc.line; message })
-  let peek sc = if sc.pos < String.length sc.s then Some sc.s.[sc.pos] else None
-  let advance sc = sc.pos <- sc.pos + 1
+let scanner s ~pos ~stop ~line =
+  {
+    s;
+    pos;
+    stop;
+    line;
+    key_pos = Array.make 8 0;
+    key_len = Array.make 8 0;
+    vals = Array.make 8 (Value.Bool false);
+    np = 0;
+  }
 
-  let skip_ws sc =
-    let rec loop () =
-      match peek sc with
-      | Some (' ' | '\t' | '\r') ->
-        advance sc;
-        loop ()
-      | _ -> ()
-    in
-    loop ()
+let fail sc message = raise (Error { line = sc.line; message })
+let is_blank = function ' ' | '\t' | '\r' -> true | _ -> false
+let is_digit c = c >= '0' && c <= '9'
+let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_char c = is_ident_start c || is_digit c
 
-  let at_end sc =
-    skip_ws sc;
-    peek sc = None
+let skip_ws sc =
+  while sc.pos < sc.stop && is_blank (String.unsafe_get sc.s sc.pos) do
+    sc.pos <- sc.pos + 1
+  done
 
-  let expect_char sc c =
-    skip_ws sc;
-    match peek sc with
-    | Some c' when c' = c -> advance sc
-    | Some c' -> fail sc (Printf.sprintf "expected %C, found %C" c c')
-    | None -> fail sc (Printf.sprintf "expected %C, found end of line" c)
+let at_end sc =
+  skip_ws sc;
+  sc.pos >= sc.stop
 
-  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let expect_char sc c =
+  skip_ws sc;
+  if sc.pos >= sc.stop then fail sc (Printf.sprintf "expected %C, found end of line" c);
+  let c' = sc.s.[sc.pos] in
+  if c' = c then sc.pos <- sc.pos + 1
+  else fail sc (Printf.sprintf "expected %C, found %C" c c')
 
-  let is_ident_char c =
-    is_ident_start c || (c >= '0' && c <= '9')
+let try_char sc c =
+  skip_ws sc;
+  if sc.pos < sc.stop && sc.s.[sc.pos] = c then begin
+    sc.pos <- sc.pos + 1;
+    true
+  end
+  else false
 
-  let ident sc =
-    skip_ws sc;
-    let start = sc.pos in
-    (match peek sc with
-    | Some c when is_ident_start c -> advance sc
-    | Some c -> fail sc (Printf.sprintf "expected identifier, found %C" c)
-    | None -> fail sc "expected identifier, found end of line");
-    let rec loop () =
-      match peek sc with
-      | Some c when is_ident_char c ->
-        advance sc;
-        loop ()
-      | _ -> ()
-    in
-    loop ();
-    String.sub sc.s start (sc.pos - start)
+let try_arrow sc =
+  skip_ws sc;
+  if sc.pos + 1 < sc.stop && sc.s.[sc.pos] = '-' && sc.s.[sc.pos + 1] = '>' then begin
+    sc.pos <- sc.pos + 2;
+    true
+  end
+  else false
 
-  let try_char sc c =
-    skip_ws sc;
-    match peek sc with
-    | Some c' when c' = c ->
-      advance sc;
-      true
-    | _ -> false
+(* An identifier: returns its start; it ends at [sc.pos]. *)
+let ident sc =
+  skip_ws sc;
+  if sc.pos >= sc.stop then fail sc "expected identifier, found end of line";
+  let c = sc.s.[sc.pos] in
+  if not (is_ident_start c) then fail sc (Printf.sprintf "expected identifier, found %C" c);
+  let start = sc.pos in
+  sc.pos <- sc.pos + 1;
+  while sc.pos < sc.stop && is_ident_char (String.unsafe_get sc.s sc.pos) do
+    sc.pos <- sc.pos + 1
+  done;
+  start
 
-  let try_arrow sc =
-    skip_ws sc;
-    if
-      sc.pos + 1 < String.length sc.s
-      && sc.s.[sc.pos] = '-'
-      && sc.s.[sc.pos + 1] = '>'
-    then begin
-      sc.pos <- sc.pos + 2;
-      true
-    end
-    else false
+let since sc start = String.sub sc.s start (sc.pos - start)
 
-  let string_literal sc =
-    expect_char sc '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek sc with
-      | None -> fail sc "unterminated string literal"
-      | Some '"' -> advance sc
-      | Some '\\' ->
-        advance sc;
-        (match peek sc with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '/' -> Buffer.add_char buf '/'
-        | Some 'u' ->
-          (* \uXXXX, kept as the raw byte for code points < 256; PGF is a
-             test/interchange format and does not claim full Unicode *)
-          advance sc;
-          let hex = Buffer.create 4 in
-          for _ = 1 to 4 do
-            match peek sc with
-            | Some c ->
-              Buffer.add_char hex c;
-              if Buffer.length hex < 4 then advance sc
-            | None -> fail sc "truncated \\u escape"
-          done;
-          (* decode by hand: int_of_string_opt on "0x…" would also accept
-             OCaml numeric-literal underscores, letting "\u1_2f" through *)
-          let digit c =
-            match c with
-            | '0' .. '9' -> Some (Char.code c - Char.code '0')
-            | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-            | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-            | _ -> None
-          in
-          let code =
-            String.fold_left
-              (fun acc c ->
-                match (acc, digit c) with
-                | Some acc, Some d -> Some ((acc * 16) + d)
-                | _ -> None)
-              (Some 0) (Buffer.contents hex)
-          in
-          (match code with
-          | Some code when code < 256 -> Buffer.add_char buf (Char.chr code)
-          | Some _ -> fail sc "\\u escape above \\u00FF is not supported by PGF"
-          | None -> fail sc "malformed \\u escape")
-        | Some c -> fail sc (Printf.sprintf "invalid escape \\%c" c)
-        | None -> fail sc "unterminated escape");
-        advance sc;
-        loop ()
-      | Some c ->
-        advance sc;
-        Buffer.add_char buf c;
-        loop ()
-    in
-    loop ();
-    Buffer.contents buf
+let rec same_bytes s start w i =
+  i = String.length w
+  || String.unsafe_get s (start + i) = String.unsafe_get w i && same_bytes s start w (i + 1)
 
-  let number sc =
-    skip_ws sc;
-    let start = sc.pos in
-    if peek sc = Some '-' then advance sc;
-    let rec digits () =
-      match peek sc with
-      | Some c when c >= '0' && c <= '9' ->
-        advance sc;
-        digits ()
-      | _ -> ()
-    in
-    digits ();
-    let is_float = ref false in
-    if peek sc = Some '.' then begin
-      is_float := true;
-      advance sc;
-      digits ()
-    end;
-    (match peek sc with
-    | Some ('e' | 'E') ->
-      is_float := true;
-      advance sc;
-      (match peek sc with Some ('+' | '-') -> advance sc | _ -> ());
-      digits ()
-    | _ -> ());
-    let text = String.sub sc.s start (sc.pos - start) in
-    if !is_float then
-      match float_of_string_opt text with
-      | Some f -> Value.Float f
-      | None -> fail sc (Printf.sprintf "malformed float %S" text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Value.Int i
-      | None -> fail sc (Printf.sprintf "malformed integer %S" text)
+(* the token from [start] to [sc.pos] is [w] *)
+let is_word sc start w = sc.pos - start = String.length w && same_bytes sc.s start w 0
 
-  let rec value sc =
-    skip_ws sc;
-    match peek sc with
-    | Some '"' -> Value.String (string_literal sc)
-    | Some '@' ->
-      advance sc;
-      Value.Id (string_literal sc)
-    | Some '[' ->
-      advance sc;
-      let rec elements acc =
-        skip_ws sc;
-        if peek sc = Some ']' then begin
-          advance sc;
-          List.rev acc
-        end
-        else begin
-          let v = value sc in
-          skip_ws sc;
-          if try_char sc ',' then elements (v :: acc)
-          else begin
-            expect_char sc ']';
-            List.rev (v :: acc)
-          end
-        end
-      in
-      Value.List (elements [])
-    | Some '-' when sc.pos + 1 < String.length sc.s && is_ident_start sc.s.[sc.pos + 1] ->
-      (* the printer renders negative infinity as "-inf" *)
-      advance sc;
-      (match ident sc with
-      | "inf" | "infinity" -> Value.Float Float.neg_infinity
-      | name -> fail sc (Printf.sprintf "unknown numeric literal -%s" name))
-    | Some c when c = '-' || (c >= '0' && c <= '9') -> number sc
-    | Some c when is_ident_start c -> (
-      (* true/false/nan/inf are value keywords, not enum symbols *)
-      match ident sc with
-      | "true" -> Value.Bool true
-      | "false" -> Value.Bool false
-      | "nan" -> Value.Float Float.nan
-      | "inf" | "infinity" -> Value.Float Float.infinity
-      | name -> Value.Enum name)
-    | Some c -> fail sc (Printf.sprintf "expected a value, found %C" c)
-    | None -> fail sc "expected a value, found end of line"
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
-  let props sc =
-    if not (try_char sc '{') then []
-    else begin
-      let rec entries acc =
-        skip_ws sc;
-        if try_char sc '}' then List.rev acc
-        else begin
-          let name = ident sc in
-          expect_char sc ':';
-          let v = value sc in
-          skip_ws sc;
-          if try_char sc ',' then entries ((name, v) :: acc)
-          else begin
-            expect_char sc '}';
-            List.rev ((name, v) :: acc)
-          end
-        end
-      in
-      entries []
-    end
-end
+(* The slow path of a literal with escapes; [start] is just past the
+   opening quote and [sc.pos] on the first backslash. *)
+let escaped_literal sc start =
+  let buf = Buffer.create (2 * (sc.pos - start) + 16) in
+  Buffer.add_substring buf sc.s start (sc.pos - start);
+  let rec loop () =
+    if sc.pos >= sc.stop then fail sc "unterminated string literal";
+    match sc.s.[sc.pos] with
+    | '"' -> sc.pos <- sc.pos + 1
+    | '\\' ->
+      sc.pos <- sc.pos + 1;
+      if sc.pos >= sc.stop then fail sc "unterminated escape";
+      (match sc.s.[sc.pos] with
+      | 'n' -> Buffer.add_char buf '\n'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'r' -> Buffer.add_char buf '\r'
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'u' ->
+        (* \uXXXX, kept as the raw byte for code points < 256; PGF is a
+           test/interchange format and does not claim full Unicode.  The
+           digits are decoded by hand: int_of_string_opt on "0x…" would
+           also accept OCaml numeric-literal underscores, letting "\u1_2f"
+           through *)
+        let p = sc.pos + 1 in
+        if p + 4 > sc.stop then fail sc "truncated \\u escape";
+        let code = ref 0 in
+        for k = p to p + 3 do
+          let d = hex_digit sc.s.[k] in
+          code := if !code < 0 || d < 0 then -1 else (!code * 16) + d
+        done;
+        if !code < 0 then fail sc "malformed \\u escape";
+        if !code >= 256 then fail sc "\\u escape above \\u00FF is not supported by PGF";
+        Buffer.add_char buf (Char.chr !code);
+        sc.pos <- p + 3
+      | c -> fail sc (Printf.sprintf "invalid escape \\%c" c));
+      sc.pos <- sc.pos + 1;
+      loop ()
+    | c ->
+      Buffer.add_char buf c;
+      sc.pos <- sc.pos + 1;
+      loop ()
+  in
+  loop ();
+  Buffer.contents buf
 
-(* Incremental (record-at-a-time) parsing.  One PGF line is one record;
-   [inc_line_exn] applies it to the builder atomically — every scan check
-   and handle lookup happens before the first mutation, so a failing line
-   leaves the graph under construction exactly as it was.  [parse],
-   [read] and the fault-tolerant {!Stream} reader are all folds over this
-   one function, which is what makes slurp and streaming byte-identical. *)
+let rec plain_literal sc start i =
+  if i >= sc.stop then fail sc "unterminated string literal"
+  else
+    match String.unsafe_get sc.s i with
+    | '"' ->
+      sc.pos <- i + 1;
+      String.sub sc.s start (i - start)
+    | '\\' ->
+      sc.pos <- i;
+      escaped_literal sc start
+    | _ -> plain_literal sc start (i + 1)
 
-type inc = Builder.t
+let string_literal sc =
+  expect_char sc '"';
+  plain_literal sc sc.pos sc.pos
 
-let inc_create () = Builder.create ()
-let inc_graph b = Builder.graph b
+let digits sc =
+  while sc.pos < sc.stop && is_digit (String.unsafe_get sc.s sc.pos) do
+    sc.pos <- sc.pos + 1
+  done
 
-let inc_line_exn b lineno raw =
-  let line = String.trim raw in
-  if line = "" || line.[0] = '#' then ()
+let number sc =
+  let start = sc.pos in
+  if sc.pos < sc.stop && sc.s.[sc.pos] = '-' then sc.pos <- sc.pos + 1;
+  let first = sc.pos in
+  digits sc;
+  let int_digits = sc.pos - first in
+  let is_float = ref false in
+  if sc.pos < sc.stop && sc.s.[sc.pos] = '.' then begin
+    is_float := true;
+    sc.pos <- sc.pos + 1;
+    digits sc
+  end;
+  if sc.pos < sc.stop && (sc.s.[sc.pos] = 'e' || sc.s.[sc.pos] = 'E') then begin
+    is_float := true;
+    sc.pos <- sc.pos + 1;
+    if sc.pos < sc.stop && (sc.s.[sc.pos] = '+' || sc.s.[sc.pos] = '-') then sc.pos <- sc.pos + 1;
+    digits sc
+  end;
+  if !is_float then
+    let text = since sc start in
+    match float_of_string_opt text with
+    | Some f -> Value.Float f
+    | None -> fail sc (Printf.sprintf "malformed float %S" text)
+  else if int_digits > 0 && int_digits <= 18 then begin
+    (* cannot overflow: the common case needs no substring *)
+    let v = ref 0 in
+    for k = first to sc.pos - 1 do
+      v := (!v * 10) + Char.code sc.s.[k] - Char.code '0'
+    done;
+    Value.Int (if first > start then - !v else !v)
+  end
+  else
+    let text = since sc start in
+    match int_of_string_opt text with
+    | Some i -> Value.Int i
+    | None -> fail sc (Printf.sprintf "malformed integer %S" text)
+
+let v_true = Value.Bool true
+let v_false = Value.Bool false
+let v_nan = Value.Float Float.nan
+let v_inf = Value.Float Float.infinity
+let v_neg_inf = Value.Float Float.neg_infinity
+
+let rec value sc =
+  skip_ws sc;
+  if sc.pos >= sc.stop then fail sc "expected a value, found end of line";
+  match sc.s.[sc.pos] with
+  | '"' -> Value.String (string_literal sc)
+  | '@' ->
+    sc.pos <- sc.pos + 1;
+    Value.Id (string_literal sc)
+  | '[' ->
+    sc.pos <- sc.pos + 1;
+    Value.List (elements sc [])
+  | '-' when sc.pos + 1 < sc.stop && is_ident_start sc.s.[sc.pos + 1] ->
+    (* the printer renders negative infinity as "-inf" *)
+    sc.pos <- sc.pos + 1;
+    let w = ident sc in
+    if is_word sc w "inf" || is_word sc w "infinity" then v_neg_inf
+    else fail sc (Printf.sprintf "unknown numeric literal -%s" (since sc w))
+  | c when c = '-' || is_digit c -> number sc
+  | c when is_ident_start c ->
+    (* true/false/nan/inf are value keywords, not enum symbols *)
+    let w = ident sc in
+    if is_word sc w "true" then v_true
+    else if is_word sc w "false" then v_false
+    else if is_word sc w "nan" then v_nan
+    else if is_word sc w "inf" || is_word sc w "infinity" then v_inf
+    else Value.Enum (since sc w)
+  | c -> fail sc (Printf.sprintf "expected a value, found %C" c)
+
+and elements sc acc =
+  skip_ws sc;
+  if try_char sc ']' then List.rev acc
   else begin
-    let sc = Scan.make lineno line in
-    match Scan.ident sc with
-    | "node" ->
-      let handle = Scan.ident sc in
-      if Builder.mem b handle then
-        Scan.fail sc (Printf.sprintf "duplicate node handle %S" handle);
-      Scan.expect_char sc ':';
-      let label = Scan.ident sc in
-      let props = Scan.props sc in
-      if not (Scan.at_end sc) then Scan.fail sc "trailing characters";
-      ignore (Builder.node b handle ~label ~props ())
-    | "edge" ->
-      let first = Scan.ident sc in
+    let v = value sc in
+    skip_ws sc;
+    if try_char sc ',' then elements sc (v :: acc)
+    else begin
+      expect_char sc ']';
+      List.rev (v :: acc)
+    end
+  end
+
+let push_prop sc key key_len v =
+  let k = sc.np in
+  if k = Array.length sc.key_pos then begin
+    let grow a fill = Array.append a (Array.make k fill) in
+    sc.key_pos <- grow sc.key_pos 0;
+    sc.key_len <- grow sc.key_len 0;
+    sc.vals <- grow sc.vals v_false
+  end;
+  sc.key_pos.(k) <- key;
+  sc.key_len.(k) <- key_len;
+  sc.vals.(k) <- v;
+  sc.np <- k + 1
+
+let rec entries sc =
+  skip_ws sc;
+  if not (try_char sc '}') then begin
+    let key = ident sc in
+    let key_len = sc.pos - key in
+    expect_char sc ':';
+    push_prop sc key key_len (value sc);
+    skip_ws sc;
+    if try_char sc ',' then entries sc else expect_char sc '}'
+  end
+
+(* an optional property map, into the scanner's property slots *)
+let props sc =
+  sc.np <- 0;
+  if try_char sc '{' then entries sc
+
+(* Record-at-a-time ingest.  One PGF line is one record; [record]
+   applies it to the staging columns atomically — every scan check and
+   handle lookup happens before the first append, so a failing line
+   leaves the graph under construction exactly as it was.  [parse],
+   [read], [load] and the fault-tolerant {!Stream} reader are all folds
+   of this one function over {!Chunked.iter_lines}, which is what
+   makes slurp and streaming byte-identical.  Node handles live in
+   their own table, whose ids are the node indexes (a node and its
+   handle are appended together). *)
+
+type inc = { st : Staging.t; handles : Staging.Names.t; sc : scanner }
+
+let inc_create () =
+  {
+    st = Staging.create ();
+    handles = Staging.Names.create ();
+    sc = scanner "" ~pos:0 ~stop:0 ~line:0;
+  }
+
+let inc_columns b = b.st
+
+(* String.trim's notion of whitespace *)
+let is_trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let stage_props b =
+  let sc = b.sc in
+  for k = 0 to sc.np - 1 do
+    Staging.prop b.st (Staging.symbol_sub b.st sc.s sc.key_pos.(k) sc.key_len.(k)) sc.vals.(k)
+  done
+
+let node_of_handle b h len =
+  match Staging.Names.find_sub b.handles b.sc.s h len with
+  | -1 -> fail b.sc (Printf.sprintf "unknown node handle %S" (String.sub b.sc.s h len))
+  | i -> i
+
+let record b line s start stop =
+  let lo = ref start and hi = ref stop in
+  while !lo < !hi && is_trimmed s.[!lo] do
+    incr lo
+  done;
+  while !hi > !lo && is_trimmed s.[!hi - 1] do
+    decr hi
+  done;
+  if !lo = !hi || s.[!lo] = '#' then false
+  else begin
+    let sc = b.sc in
+    sc.s <- s;
+    sc.pos <- !lo;
+    sc.stop <- !hi;
+    sc.line <- line;
+    let kw = ident sc in
+    if is_word sc kw "node" then begin
+      let h = ident sc in
+      let h_len = sc.pos - h in
+      if Staging.Names.find_sub b.handles s h h_len >= 0 then
+        fail sc (Printf.sprintf "duplicate node handle %S" (since sc h));
+      expect_char sc ':';
+      let l = ident sc in
+      let l_len = sc.pos - l in
+      props sc;
+      if not (at_end sc) then fail sc "trailing characters";
+      stage_props b;
+      Staging.add_node b.st ~id:(Staging.node_count b.st)
+        ~label:(Staging.symbol_sub b.st s l l_len);
+      ignore (Staging.Names.add b.handles (String.sub s h h_len))
+    end
+    else if is_word sc kw "edge" then begin
       (* "edge e0 n1 -> n0 :l" (handle + endpoints) or "edge n1 -> n0 :l" *)
-      let src_handle =
-        if Scan.try_arrow sc then first
-        else
-          let second = Scan.ident sc in
-          if not (Scan.try_arrow sc) then Scan.fail sc "expected '->'";
-          second
+      let first = ident sc in
+      let first_len = sc.pos - first in
+      let src, src_len =
+        if try_arrow sc then (first, first_len)
+        else begin
+          let second = ident sc in
+          let second_len = sc.pos - second in
+          if not (try_arrow sc) then fail sc "expected '->'";
+          (second, second_len)
+        end
       in
-      let tgt_handle = Scan.ident sc in
-      Scan.expect_char sc ':';
-      let label = Scan.ident sc in
-      let props = Scan.props sc in
-      if not (Scan.at_end sc) then Scan.fail sc "trailing characters";
-      let find h =
-        match Builder.find_opt b h with
-        | Some v -> v
-        | None -> Scan.fail sc (Printf.sprintf "unknown node handle %S" h)
-      in
-      (* target resolved first: the historical slurp parser passed both
+      let tgt = ident sc in
+      let tgt_len = sc.pos - tgt in
+      expect_char sc ':';
+      let l = ident sc in
+      let l_len = sc.pos - l in
+      props sc;
+      if not (at_end sc) then fail sc "trailing characters";
+      (* target resolved first: the historical parser passed both
          lookups as arguments to [add_edge], which OCaml evaluates
          right-to-left, so when both handles are unknown the error names
          the target *)
-      let vtgt = find tgt_handle in
-      let vsrc = find src_handle in
-      ignore (Builder.connect b vsrc vtgt ~label ~props ())
-    | kw -> Scan.fail sc (Printf.sprintf "expected 'node' or 'edge', found %S" kw)
+      let tgt = node_of_handle b tgt tgt_len in
+      let src = node_of_handle b src src_len in
+      stage_props b;
+      Staging.add_edge b.st ~id:(Staging.edge_count b.st)
+        ~label:(Staging.symbol_sub b.st s l l_len) ~src ~tgt
+    end
+    else fail sc (Printf.sprintf "expected 'node' or 'edge', found %S" (since sc kw));
+    true
   end
 
-let inc_line b lineno raw =
-  match inc_line_exn b lineno raw with
-  | () -> Ok ()
+let inc_line b line s start stop =
+  match record b line s start stop with
+  | applied -> Ok applied
   | exception Error e -> Result.Error e
 
-let parse text =
+let read_columns source =
   let b = inc_create () in
-  try
-    List.iteri (fun i raw -> inc_line_exn b (i + 1) raw) (String.split_on_char '\n' text);
-    Ok (inc_graph b)
-  with Error e -> Result.Error e
+  match
+    Chunked.iter_lines source (fun line s start stop ->
+        ignore (record b line s start stop))
+  with
+  | () -> Ok b.st
+  | exception Error e -> Result.Error e
 
-let read source =
-  let b = inc_create () in
-  try
-    Chunked.iter_lines source (inc_line_exn b);
-    Ok (inc_graph b)
-  with Error e -> Result.Error e
+let parse_columns text = read_columns (Chunked.whole text)
+
+let load_columns path =
+  (* streams the file through the record-at-a-time reader; behaviour
+     (graphs and error Results) is identical to parsing the slurped text *)
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> read_columns (Chunked.of_channel ic))
+  with
+  | exception Sys_error message -> Result.Error { line = 0; message }
+  | r -> r
+
+let parse text = Result.map Staging.thaw (parse_columns text)
+let read source = Result.map Staging.thaw (read_columns source)
+let load path = Result.map Staging.thaw (load_columns path)
 
 let print_value buf v =
   let rec go = function
@@ -375,26 +475,11 @@ let value_to_string v =
   Buffer.contents buf
 
 let value_of_string s =
-  try
-    let sc = Scan.make 1 s in
-    let v = Scan.value sc in
-    if Scan.at_end sc then Ok v
+  let sc = scanner s ~pos:0 ~stop:(String.length s) ~line:1 in
+  match value sc with
+  | v ->
+    if at_end sc then Ok v
     else Result.Error { line = 1; message = "trailing characters after value" }
-  with Error e -> Result.Error e
+  | exception Error e -> Result.Error e
 
-let load path =
-  (* streams the file through the record-at-a-time reader; behaviour
-     (graphs and error Results) is identical to parsing the slurped text *)
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> read (Chunked.of_channel ic))
-  with
-  | exception Sys_error message -> Result.Error { line = 0; message }
-  | r -> r
-
-let save path g =
-  let oc = open_out_bin path in
-  output_string oc (print g);
-  close_out oc
+let save path g = Durable.write_file path [ print g ]

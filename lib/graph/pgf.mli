@@ -23,34 +23,60 @@ type error = { line : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
+(** {2 Columnar ingest}
+
+    PGF text is scanned once, straight into {!Staging} columns, which
+    {!Snapshot.freeze} turns into the compiled pipeline's snapshot.  The
+    string-level readers below ({!parse}, {!read}, {!load}) are the same
+    ingest followed by {!Staging.thaw}. *)
+
+val parse_columns : string -> (Staging.t, error) result
+(** Ingest a whole document, scanning the string in place.  Nodes get
+    indexes (and ids) in document order, edges likewise. *)
+
+val read_columns : Chunked.source -> (Staging.t, error) result
+(** Strict streaming ingest of a chunked source.  Equivalent to
+    [parse_columns] of the concatenated chunks, but holds at most one
+    line plus one chunk of text in memory. *)
+
+val load_columns : string -> (Staging.t, error) result
+(** [load_columns path] streams a file through {!read_columns} from a
+    fixed-size chunked buffer (the whole file is never held in memory).
+    I/O failures (missing file, permissions) are returned as [Error]
+    with [line = 0], never raised. *)
+
 val parse : string -> (Property_graph.t, error) result
-(** Parse a PGF document.  Nodes receive fresh ids in document order. *)
+(** {!parse_columns}, thawed.  Nodes receive fresh ids in document
+    order. *)
 
-(** {2 Streaming (record-at-a-time) parsing}
+val read : Chunked.source -> (Property_graph.t, error) result
+(** {!read_columns}, thawed. *)
 
-    One PGF line is one record.  [parse], {!read} and the fault-tolerant
-    {!Stream.read_pgf} are all folds over {!inc_line}, so slurped and
-    streamed input is processed by the same code path. *)
+val load : string -> (Property_graph.t, error) result
+(** {!load_columns}, thawed. *)
+
+(** {2 Record-at-a-time ingest}
+
+    One PGF line is one record.  The readers above and the
+    fault-tolerant {!Stream.read_pgf} are all folds of {!inc_line} over
+    {!Chunked.iter_lines}, so slurped and streamed input is
+    processed by the same code path. *)
 
 type inc
-(** A graph under incremental construction (a {!Builder.t} with the
-    document's handle namespace). *)
+(** A graph under construction: staging columns plus the document's
+    node-handle table. *)
 
 val inc_create : unit -> inc
 
-val inc_line : inc -> int -> string -> (unit, error) result
-(** [inc_line b lineno raw] applies one raw input line (blank and [#]
-    comment lines are no-ops).  Atomic: on [Error] the graph under
+val inc_line : inc -> int -> string -> int -> int -> (bool, error) result
+(** [inc_line b lineno s start stop] applies the raw input line
+    [s.[start .. stop-1]].  [Ok true] when it was a record, [Ok false]
+    for a blank or [#] comment line.  Atomic: on [Error] the graph under
     construction is unchanged, so a tolerant reader can skip the record
     and continue. *)
 
-val inc_graph : inc -> Property_graph.t
-(** The graph built so far (snapshot; more lines may follow). *)
-
-val read : Chunked.source -> (Property_graph.t, error) result
-(** Strict streaming parse of a chunked source.  Equivalent to [parse]
-    of the concatenated chunks, but holds at most one line plus one
-    chunk in memory. *)
+val inc_columns : inc -> Staging.t
+(** The columns built so far (more lines may follow). *)
 
 val print : Property_graph.t -> string
 (** Serialize; [parse (print g)] succeeds and yields a graph {!Property_graph.equal}
@@ -66,11 +92,8 @@ val value_of_string : string -> (Value.t, error) result
     {!Value.equal} to [v] (bit-exact for finite floats, [nan] and the
     infinities; [-0.0] round-trips to [-0.0]). *)
 
-val load : string -> (Property_graph.t, error) result
-(** [load path] reads and parses a file by streaming it through {!read}
-    from a fixed-size chunked buffer (the whole file is never held in
-    memory).  I/O failures (missing file, permissions) are returned as
-    [Error] with [line = 0], never raised. *)
-
 val save : string -> Property_graph.t -> unit
-(** [save path g] writes [print g] to a file. *)
+(** [save path g] writes [print g] to a file through {!Durable}: after a
+    crash the file is absent, whole and old, or whole and new.
+    @raise Unix.Unix_error or [Sys_error] if the write fails (the
+    destination is then untouched). *)

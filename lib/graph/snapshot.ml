@@ -1,11 +1,11 @@
-(* A frozen structure-of-arrays view of a Property_graph.
+(* A frozen structure-of-arrays view of a staged graph.
 
-   Built in one pass over the persistent graph, then read-only: dense
+   Built in one pass over the {!Staging} columns, then read-only: dense
    0-based node/edge indexes, interned label ids, CSR adjacency in both
    directions, and per-element property vectors sorted by interned key.
    Everything the validation kernels touch is an integer probe — no
    string hashing, no map lookups — and the whole structure is safe to
-   share across domains once [build] returns.
+   share across domains once [freeze] returns.
 
    The integer columns are Bigarray-backed (off-heap): the GC neither
    scans nor moves them, so large graphs do not inflate major-heap
@@ -18,8 +18,6 @@
      so WS4 runs (same label), DS1 runs (same label and target) and DS2
      loops (target = self) are contiguous;
    - the in segment is sorted by (edge label, source, edge id) for DS3. *)
-
-module G = Property_graph
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -41,24 +39,17 @@ type t = {
   in_adj : ints;  (** edge indexes, segment-sorted (label, src, id) *)
 }
 
-exception Build_error of string
+exception Build_error = Staging.Build_error
 
 let ints_create len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 
-let ints_of_array (a : int array) =
-  let b = ints_create (Array.length a) in
-  Array.iteri (fun i x -> b.{i} <- x) a;
+(* the first [len] entries of a heap column *)
+let ints_prefix (a : int array) len =
+  let b = ints_create len in
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set b i (Array.unsafe_get a i)
+  done;
   b
-
-let props_array st props =
-  match props with
-  | [] -> [||]
-  | _ ->
-    let arr = Array.of_list (List.map (fun (k, v) -> (Symtab.intern st k, v)) props) in
-    (* bindings come sorted by name; interned ids need not preserve that
-       order, so re-sort by key id for binary search *)
-    Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-    arr
 
 (* Binary search of a sorted property vector.  Monomorphic int
    comparisons: this is the hottest lookup of the DS5/DS7 kernels and
@@ -78,97 +69,151 @@ let find_prop (props : (int * Value.t) array) key =
   done;
   !found
 
-let sort_segments start adj ~compare_edges =
-  let n = Array.length start - 1 in
+let by_key (a, _) (b, _) = Int.compare a b
+
+(* Sort each CSR segment in place: insertion sort for the short segments
+   that dominate real graphs, a heap copy and the library sort beyond. *)
+let sort_segments n (start : ints) (adj : ints) ~compare_edges =
   for i = 0 to n - 1 do
-    let lo = start.(i) and hi = start.(i + 1) in
-    if hi - lo > 1 then begin
-      let seg = Array.sub adj lo (hi - lo) in
+    let lo = start.{i} and hi = start.{i + 1} in
+    if hi - lo > 16 then begin
+      let seg = Array.init (hi - lo) (fun k -> adj.{lo + k}) in
       Array.sort compare_edges seg;
-      Array.blit seg 0 adj lo (hi - lo)
+      Array.iteri (fun k e -> adj.{lo + k} <- e) seg
     end
+    else
+      for k = lo + 1 to hi - 1 do
+        let x = adj.{k} in
+        let j = ref (k - 1) in
+        while !j >= lo && compare_edges adj.{!j} x > 0 do
+          adj.{!j + 1} <- adj.{!j};
+          decr j
+        done;
+        adj.{!j + 1} <- x
+      done
   done
 
-let build st g =
-  let nodes, edges = G.to_arrays g in
-  let n = Array.length nodes and m = Array.length edges in
-  let node_id = Array.map G.node_id nodes in
-  let edge_id = Array.map G.edge_id edges in
-  let index_of_id = Hashtbl.create (2 * n) in
-  Array.iteri
-    (fun i id ->
-      if Hashtbl.mem index_of_id id then
-        raise
-          (Build_error
-             (Printf.sprintf
-                "duplicate node id n%d: two distinct nodes share one external id" id));
-      Hashtbl.add index_of_id id i)
-    node_id;
-  let node_label = Array.map (fun v -> Symtab.intern st (G.node_label g v)) nodes in
-  let edge_label = Array.map (fun e -> Symtab.intern st (G.edge_label g e)) edges in
-  let node_props = Array.map (fun v -> props_array st (G.node_props g v)) nodes in
-  let edge_props = Array.map (fun e -> props_array st (G.edge_props g e)) edges in
-  let edge_src = Array.make m 0 and edge_tgt = Array.make m 0 in
-  let resolve j id =
-    match Hashtbl.find_opt index_of_id id with
-    | Some i -> i
-    | None ->
-      raise
-        (Build_error
-           (Printf.sprintf "edge e%d references node n%d, which is not in the graph"
-              edge_id.(j) id))
-  in
-  Array.iteri
-    (fun j e ->
-      let v1, v2 = G.edge_ends g e in
-      edge_src.(j) <- resolve j (G.node_id v1);
-      edge_tgt.(j) <- resolve j (G.node_id v2))
-    edges;
-  (* CSR in both directions: count, prefix-sum, fill, sort segments *)
-  let out_start = Array.make (n + 1) 0 and in_start = Array.make (n + 1) 0 in
+(* CSR over one endpoint column: count, prefix-sum, fill, sort segments *)
+let csr n m (ends : int array) ~compare_edges =
+  let start = ints_create (n + 1) in
+  Bigarray.Array1.fill start 0;
   for j = 0 to m - 1 do
-    out_start.(edge_src.(j) + 1) <- out_start.(edge_src.(j) + 1) + 1;
-    in_start.(edge_tgt.(j) + 1) <- in_start.(edge_tgt.(j) + 1) + 1
+    start.{ends.(j) + 1} <- start.{ends.(j) + 1} + 1
   done;
   for i = 1 to n do
-    out_start.(i) <- out_start.(i) + out_start.(i - 1);
-    in_start.(i) <- in_start.(i) + in_start.(i - 1)
+    start.{i} <- start.{i} + start.{i - 1}
   done;
-  let out_adj = Array.make m 0 and in_adj = Array.make m 0 in
-  let out_fill = Array.copy out_start and in_fill = Array.copy in_start in
+  let adj = ints_create m in
+  let fill = Array.init n (fun i -> start.{i}) in
   for j = 0 to m - 1 do
-    out_adj.(out_fill.(edge_src.(j))) <- j;
-    out_fill.(edge_src.(j)) <- out_fill.(edge_src.(j)) + 1;
-    in_adj.(in_fill.(edge_tgt.(j))) <- j;
-    in_fill.(edge_tgt.(j)) <- in_fill.(edge_tgt.(j)) + 1
+    adj.{fill.(ends.(j))} <- j;
+    fill.(ends.(j)) <- fill.(ends.(j)) + 1
   done;
-  sort_segments out_start out_adj ~compare_edges:(fun a b ->
-      match Int.compare edge_label.(a) edge_label.(b) with
-      | 0 -> (
-        match Int.compare edge_tgt.(a) edge_tgt.(b) with
-        | 0 -> Int.compare edge_id.(a) edge_id.(b)
-        | c -> c)
-      | c -> c);
-  sort_segments in_start in_adj ~compare_edges:(fun a b ->
-      match Int.compare edge_label.(a) edge_label.(b) with
-      | 0 -> (
-        match Int.compare edge_src.(a) edge_src.(b) with
-        | 0 -> Int.compare edge_id.(a) edge_id.(b)
-        | c -> c)
-      | c -> c);
+  sort_segments n start adj ~compare_edges;
+  (start, adj)
+
+let freeze st (s : Staging.t) =
+  let n = s.Staging.n and m = s.Staging.m in
+  (* staging id -> [st] id, interned on first sight.  The order of first
+     sight is node labels, edge labels, node property keys, edge
+     property keys — within one property vector the unseen keys in name
+     order — which is the order a persistent graph's own traversal
+     (sorted bindings) meets them, so every feed of one graph assigns the
+     same ids. *)
+  let trans = Array.make (Staging.symbols s) (-1) in
+  let tr k =
+    let id = trans.(k) in
+    if id >= 0 then id
+    else begin
+      let id = Symtab.intern st (Staging.symbol_name s k) in
+      trans.(k) <- id;
+      id
+    end
+  in
+  let node_label = ints_create n and edge_label = ints_create m in
+  for i = 0 to n - 1 do
+    node_label.{i} <- tr s.node_label.(i)
+  done;
+  for j = 0 to m - 1 do
+    edge_label.{j} <- tr s.edge_label.(j)
+  done;
+  let props keys vals start stop =
+    if start = stop then [||]
+    else begin
+      let unseen = ref [] in
+      for k = start to stop - 1 do
+        if trans.(keys.(k)) < 0 then unseen := keys.(k) :: !unseen
+      done;
+      if !unseen <> [] then
+        List.iter
+          (fun k -> ignore (tr k))
+          (List.sort
+             (fun a b -> String.compare (Staging.symbol_name s a) (Staging.symbol_name s b))
+             !unseen);
+      let vec = Array.init (stop - start) (fun x -> (trans.(keys.(start + x)), vals.(start + x))) in
+      Array.sort by_key vec;
+      vec
+    end
+  in
+  let node_props =
+    Array.init n (fun i -> props s.node_pkey s.node_pval s.node_pstart.(i) s.node_pstart.(i + 1))
+  in
+  let edge_props =
+    Array.init m (fun j -> props s.edge_pkey s.edge_pval s.edge_pstart.(j) s.edge_pstart.(j + 1))
+  in
+  let edge_src = s.edge_src and edge_tgt = s.edge_tgt and edge_id = s.edge_id in
+  (* out segments sorted by (label, target, id), in segments by (label,
+     source, id) *)
+  let by_label_then ends a b =
+    match Int.compare edge_label.{a} edge_label.{b} with
+    | 0 -> (
+      match Int.compare ends.(a) ends.(b) with 0 -> Int.compare edge_id.(a) edge_id.(b) | c -> c)
+    | c -> c
+  in
+  let out_start, out_adj = csr n m edge_src ~compare_edges:(by_label_then edge_tgt) in
+  let in_start, in_adj = csr n m edge_tgt ~compare_edges:(by_label_then edge_src) in
   {
     n;
     m;
-    node_id = ints_of_array node_id;
-    edge_id = ints_of_array edge_id;
-    node_label = ints_of_array node_label;
-    edge_label = ints_of_array edge_label;
-    edge_src = ints_of_array edge_src;
-    edge_tgt = ints_of_array edge_tgt;
+    node_id = ints_prefix s.node_id n;
+    edge_id = ints_prefix edge_id m;
+    node_label;
+    edge_label;
+    edge_src = ints_prefix edge_src m;
+    edge_tgt = ints_prefix edge_tgt m;
     node_props;
     edge_props;
-    out_start = ints_of_array out_start;
-    out_adj = ints_of_array out_adj;
-    in_start = ints_of_array in_start;
-    in_adj = ints_of_array in_adj;
+    out_start;
+    out_adj;
+    in_start;
+    in_adj;
+  }
+
+let build st g = freeze st (Staging.of_graph g)
+
+let remap_labels remap (a : ints) =
+  let len = Bigarray.Array1.dim a in
+  let b = ints_create len in
+  for i = 0 to len - 1 do
+    b.{i} <- remap a.{i}
+  done;
+  b
+
+let rebase ~src st snap =
+  let trans = Array.init (Symtab.size src) (fun id -> Symtab.intern st (Symtab.name src id)) in
+  let remap id = trans.(id) in
+  let vec props =
+    if Array.length props = 0 then props
+    else begin
+      let v = Array.map (fun (k, x) -> (remap k, x)) props in
+      Array.sort by_key v;
+      v
+    end
+  in
+  {
+    snap with
+    node_label = remap_labels remap snap.node_label;
+    edge_label = remap_labels remap snap.edge_label;
+    node_props = Array.map vec snap.node_props;
+    edge_props = Array.map vec snap.edge_props;
   }

@@ -1,4 +1,4 @@
-(** Frozen structure-of-arrays snapshot of a {!Property_graph}.
+(** Frozen structure-of-arrays snapshot of a staged graph.
 
     Dense node/edge indexes, interned labels, CSR adjacency both ways and
     sorted property vectors — the read-only substrate the compiled
@@ -39,23 +39,39 @@ type t = {
 }
 
 exception Build_error of string
-(** The graph under freeze is not a well-formed Property Graph: an edge
-    endpoint is missing from the node set, or two nodes share an external
-    id (which would silently re-bind every edge of the first to the
-    last).  [build] detects both instead of escaping with [Not_found] or
-    mis-wiring the CSR. *)
+(** Equal to {!Staging.Build_error}: the graph under {!build} is not a
+    well-formed Property Graph — an edge endpoint is missing from the
+    node set, or two nodes share an external id (which would silently
+    re-bind every edge of the first to the last).  [build] detects both
+    instead of escaping with [Not_found] or mis-wiring the CSR. *)
+
+val freeze : Symtab.t -> Staging.t -> t
+(** Freeze staged columns: translate their labels and property keys
+    into the symbol table (interning the ones it lacks, so the table is
+    mutated), sort the property vectors and build the CSR.  Symbols are
+    first met in a fixed order — node labels, edge labels, then each
+    vector's property keys by name — so freezing a staged PGF document
+    and {!build}ing the graph it describes assign the same ids and yield
+    equal columns.  The result is safe to share across domains. *)
 
 val build : Symtab.t -> Property_graph.t -> t
-(** One pass over the graph; interns every label and property key it
-    meets (mutating the symbol table), then freezes.  The result is safe
-    to share across domains.
+(** [freeze st (Staging.of_graph g)].
     @raise Build_error on dangling edge endpoints or duplicate node ids. *)
+
+val rebase : src:Symtab.t -> Symtab.t -> t -> t
+(** [rebase ~src st snap] re-expresses a snapshot frozen against [src]
+    in the ids of [st], interning every name of [src] into [st] in id
+    order — the writer-id to reader-id translation {!Snapshot_io.load}
+    applies to a file.  Label columns and property vectors are copied
+    and remapped; the CSR is shared, since a remap keeps equal labels
+    contiguous.  This lets a graph be frozen against a private table and
+    attached to a shared one later, for just the cost of the remap. *)
+
+val remap_labels : (int -> int) -> ints -> ints
+(** A fresh label column with every id mapped. *)
 
 val find_prop : (int * Value.t) array -> int -> Value.t option
 (** Binary search of a sorted property vector by interned key. *)
 
 val ints_create : int -> ints
 (** An uninitialized off-heap vector of the given length. *)
-
-val ints_of_array : int array -> ints
-(** Copy a heap array into a fresh off-heap vector. *)

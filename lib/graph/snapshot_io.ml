@@ -417,14 +417,6 @@ let validate_prop_offsets what (offs : Snapshot.ints) count ~base ~limit =
   if offs.{count} > limit then
     raise (Malformed (Printf.sprintf "%s offset index overruns its section" what))
 
-let remap_labels remap (a : Snapshot.ints) =
-  let len = Bigarray.Array1.dim a in
-  let b = Snapshot.ints_create len in
-  for i = 0 to len - 1 do
-    b.{i} <- remap a.{i}
-  done;
-  b
-
 (* ---------- the mapped handle ---------- *)
 
 type mapped = {
@@ -507,8 +499,8 @@ let open_mapped st path =
                  remap into fresh (non-mapped) vectors.  Remapping is
                  injective, so equal-label runs inside each CSR segment
                  stay contiguous and no re-sort is needed. *)
-              let node_label = remap_labels remap node_label in
-              let edge_label = remap_labels remap edge_label in
+              let node_label = Snapshot.remap_labels remap node_label in
+              let edge_label = Snapshot.remap_labels remap edge_label in
               ok := true;
               Ok
                 {

@@ -7,8 +7,8 @@ let of_string = Chunked.of_string
 
 type fault = { record : int; subject : string; text : string; message : string }
 
-type outcome = {
-  graph : Property_graph.t;
+type 'g outcome = {
+  graph : 'g;
   complete : bool;
   faults : fault list;
   budget_exhausted : bool;
@@ -27,17 +27,16 @@ let read_pgf ?max_errors ?(on_fault = fun _ -> ()) source =
   let records = ref 0 in
   let exhausted = ref false in
   (try
-     Chunked.iter_lines source (fun lineno raw ->
-         let t = String.trim raw in
-         if not (t = "" || t.[0] = '#') then incr records;
-         match Pgf.inc_line b lineno raw with
-         | Ok () -> ()
+     Chunked.iter_lines source (fun lineno s start stop ->
+         match Pgf.inc_line b lineno s start stop with
+         | Ok applied -> if applied then incr records
          | Error e ->
+           incr records;
            let f =
              {
                record = lineno;
                subject = Printf.sprintf "line %d" lineno;
-               text = raw;
+               text = String.sub s start (stop - start);
                message = e.Pgf.message;
              }
            in
@@ -50,7 +49,7 @@ let read_pgf ?max_errors ?(on_fault = fun _ -> ()) source =
              raise Stop
            | _ -> ()))
    with Stop -> ());
-  make_outcome (Pgf.inc_graph b) (List.rev !faults) !exhausted !records
+  make_outcome (Pgf.inc_columns b) (List.rev !faults) !exhausted !records
 
 let fault_of_graphml (gf : Graphml.fault) =
   { record = gf.Graphml.f_record; subject = gf.f_subject; text = gf.f_raw; message = gf.f_message }

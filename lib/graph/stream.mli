@@ -1,7 +1,7 @@
 (** Streaming fault-tolerant ingestion.
 
-    Record-at-a-time readers for PGF and GraphML that feed a
-    {!Builder}-backed graph from a fixed-size chunked buffer — the whole
+    Record-at-a-time readers for PGF and GraphML that build a graph
+    from a fixed-size chunked buffer — the whole
     input is never materialized.  Malformed records are skipped and
     reported as {!fault}s (and optionally written to a quarantine file);
     ingestion stops early only when a configurable error budget is
@@ -25,15 +25,18 @@ type fault = {
   message : string;  (** the parser's error message *)
 }
 
-type outcome = {
-  graph : Property_graph.t;  (** everything that parsed cleanly *)
+type 'g outcome = {
+  graph : 'g;
+      (** everything that parsed cleanly: {!Staging} columns for PGF, a
+          {!Property_graph} for GraphML *)
   complete : bool;  (** no faults and no early stop *)
   faults : fault list;  (** skipped records, in document order *)
   budget_exhausted : bool;  (** stopped early: the error budget ran out *)
   records : int;  (** records encountered before stopping *)
 }
 
-val read_pgf : ?max_errors:int -> ?on_fault:(fault -> unit) -> source -> outcome
+val read_pgf :
+  ?max_errors:int -> ?on_fault:(fault -> unit) -> source -> Staging.t outcome
 (** Tolerant PGF ingestion.  One line is one record; a malformed line is
     skipped atomically (the graph is as if the line were absent), so a
     dropped [node] line also faults every later edge that references its
@@ -46,13 +49,13 @@ val read_graphml :
   ?max_errors:int ->
   ?on_fault:(fault -> unit) ->
   source ->
-  (outcome, Graphml.error) result
+  (Property_graph.t outcome, Graphml.error) result
 (** Tolerant GraphML ingestion over {!Graphml.read_tolerant}.  A record
     is one key/node/edge element.  Scanner-level XML errors are
     structural rather than record-local and remain fatal ([Error]). *)
 
 val load_pgf :
-  ?max_errors:int -> ?quarantine:string -> string -> (outcome, Pgf.error) result
+  ?max_errors:int -> ?quarantine:string -> string -> (Staging.t outcome, Pgf.error) result
 (** [load_pgf path] streams a PGF file through {!read_pgf}.
     [quarantine] names a file that receives the raw text of every
     skipped record, one per line; it is created lazily on the first
@@ -62,5 +65,8 @@ val load_pgf :
     [Error] with [line = 0], never raised. *)
 
 val load_graphml :
-  ?max_errors:int -> ?quarantine:string -> string -> (outcome, Graphml.error) result
+  ?max_errors:int ->
+  ?quarantine:string ->
+  string ->
+  (Property_graph.t outcome, Graphml.error) result
 (** GraphML counterpart of {!load_pgf}. *)

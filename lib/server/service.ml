@@ -240,6 +240,11 @@ let snapshot_entry t ~plan_uid ~symtab path =
     | Ok snap -> Ok snap
     | Error e -> Error [ GP.Diag.error ~code:e.GP.Snapshot_io.code e.GP.Snapshot_io.message ])
 
+(* A text graph as its engine reads it: the naive oracle a persistent
+   graph, the compiled engines a snapshot frozen against a private
+   symbol table. *)
+type text_graph = Thawed of GP.Property_graph.t | Frozen of GP.Symtab.t * GP.Snapshot.t
+
 let run_validate t ~cancel (r : Protocol.validate_req) =
   let engine = r.engine and mode = r.mode in
   check_counts ~engine ~domains:r.domains ~shards:r.shards;
@@ -279,17 +284,22 @@ let run_validate t ~cancel (r : Protocol.validate_req) =
       GP.Governor.make ?deadline_ms ?max_violations ~cancel:(Atomic.make false) ()
     else GP.Governor.make ()
   in
-  (* Parsing the graph text is plan-independent, so it runs outside the
-     plan entry's lock and concurrent requests for one schema only
-     serialize on the freeze + kernel phase below (plan reuse is
-     sequential-only: freezing interns labels into the plan's symtab). *)
+  (* Ingesting the graph text is plan-independent, so it runs outside
+     the plan entry's lock, and so does the freeze: against a private
+     symbol table that belongs to this request alone.  Under the lock the
+     snapshot is only rebased onto the plan's symtab (plan reuse is
+     sequential-only: rebasing interns labels into it).  The naive
+     engine reads the thawed graph instead. *)
   let graph =
     if r.snapshot then None
     else
-      match GP.Pgf.load r.graph with
-      | Ok g -> Some g
+      match GP.Pgf.load_columns r.graph with
       | Error e ->
         reply_diags [ GP.Diag.error ~code:"IO001" (Format.asprintf "%a" GP.Pgf.pp_error e) ]
+      | Ok columns when engine = GP.Validate.Naive -> Some (Thawed (GP.Staging.thaw columns))
+      | Ok columns ->
+        let own = GP.Symtab.create () in
+        Some (Frozen (own, GP.Snapshot.freeze own columns))
   in
   Mutex.protect plan_slot.Cache.lock (fun () ->
     let check =
@@ -332,11 +342,17 @@ let run_validate t ~cancel (r : Protocol.validate_req) =
           fun () -> GP.Validate.check_snapshot ~engine ~mode ?domains:r.domains ~gov plan snap
         end
       end
-      else begin
-        let g = Option.get graph in
-        fun () ->
-          GP.Validate.check_compiled ~engine ~mode ?domains:r.domains ?shards:r.shards ~gov plan g
-      end
+      else
+        match Option.get graph with
+        | Thawed g ->
+          fun () ->
+            GP.Validate.check_compiled ~engine ~mode ?domains:r.domains ?shards:r.shards ~gov plan
+              g
+        | Frozen (own, snap) ->
+          let snap = GP.Snapshot.rebase ~src:own (GP.Plan.symtab plan) snap in
+          fun () ->
+            GP.Validate.check_snapshot ~engine ~mode ?domains:r.domains ?shards:r.shards ~gov
+              plan snap
     in
     (* [Reply] must tunnel through the supervisor (it is the finished
        response, not a crash), so the job wraps it into a result. *)

@@ -3,6 +3,10 @@
 module G = Graphql_pg.Property_graph
 module V = Graphql_pg.Value
 module Pgf = Graphql_pg.Pgf
+module Staging = Graphql_pg.Staging
+module Snapshot = Graphql_pg.Snapshot
+module Symtab = Graphql_pg.Symtab
+module Stream = Graphql_pg.Stream
 
 let check_bool = Alcotest.(check bool)
 
@@ -110,14 +114,14 @@ let test_exact_errors () =
       (match loaded with
       | Ok _ -> Alcotest.failf "load accepted %S" src
       | Error e -> Alcotest.(check string) ("load " ^ String.escaped src) expected (error_text e));
-      let o = Graphql_pg.Stream.read_pgf (Graphql_pg.Stream.of_string src) in
-      match List.rev o.Graphql_pg.Stream.faults with
+      let o = Stream.read_pgf (Stream.of_string src) in
+      match List.rev o.Stream.faults with
       | [] -> Alcotest.failf "tolerant reader accepted %S" src
       | f :: _ ->
         Alcotest.(check string)
           ("stream " ^ String.escaped src)
           expected
-          (error_text { Pgf.line = f.Graphql_pg.Stream.record; message = f.message }))
+          (error_text { Pgf.line = f.Stream.record; message = f.message }))
     error_table
 
 (* What String.trim strips is not an error: a form feed or CR at either
@@ -172,8 +176,14 @@ let graph_gen =
     oneof
       [
         map (fun i -> V.Int i) small_signed_int;
+        (* the full range: integers too long for the scanner's fast path *)
+        map (fun i -> V.Int i) int;
         map (fun f -> V.Float f) (float_bound_inclusive 1000.0);
+        oneofl [ V.Float Float.nan; V.Float Float.infinity; V.Float Float.neg_infinity ];
         map (fun s -> V.String s) (small_string ~gen:printable);
+        (* every byte: quotes, backslashes and control characters print
+           as escapes, the latter as \u00XX *)
+        map (fun s -> V.String s) (small_string ~gen:char);
         map (fun b -> V.Bool b) bool;
         map (fun s -> V.Id s) (small_string ~gen:printable);
         map (fun i -> V.Enum (Printf.sprintf "E%d" (abs i))) small_signed_int;
@@ -209,6 +219,137 @@ let prop_round_trip =
   QCheck2.Test.make ~name:"PGF print/parse round-trip" ~count:200 graph_gen (fun g ->
       match Pgf.parse (Pgf.print g) with Ok g' -> G.equal g g' | Error _ -> false)
 
+(* [g] as a PGF document in the syntax's less common forms: comment and
+   blank lines between records, CRLF line ends, edges with and without
+   a handle, empty property maps, properties in any order, and shadowed
+   bindings (an earlier binding of a key that the last one overrides).  It describes exactly
+   [g], whose ids must be dense. *)
+let document rng g =
+  let buf = Buffer.create 256 in
+  let coin () = Random.State.bool rng in
+  let eol () = Buffer.add_string buf (if coin () then "\r\n" else "\n") in
+  let aside () =
+    match Random.State.int rng 6 with
+    | 0 ->
+      Buffer.add_string buf "# aside";
+      eol ()
+    | 1 ->
+      Buffer.add_string buf " \t";
+      eol ()
+    | _ -> ()
+  in
+  let props ps =
+    (* bindings come sorted by name; the document need not keep that *)
+    let ps =
+      List.map snd (List.sort compare (List.map (fun p -> (Random.State.bits rng, p)) ps))
+    in
+    let ps = match ps with (k, _) :: _ when coin () -> (k, V.Enum "Shadowed") :: ps | _ -> ps in
+    if ps <> [] || coin () then begin
+      Buffer.add_string buf " {";
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Printf.bprintf buf "%s: %s" k (Pgf.value_to_string v))
+        ps;
+      Buffer.add_char buf '}'
+    end
+  in
+  aside ();
+  List.iter
+    (fun v ->
+      Printf.bprintf buf "node n%d :%s" (G.node_id v) (G.node_label g v);
+      props (G.node_props g v);
+      eol ();
+      aside ())
+    (G.nodes g);
+  List.iter
+    (fun e ->
+      let src, tgt = G.edge_ends g e in
+      if coin () then Printf.bprintf buf "edge e%d " (G.edge_id e) else Buffer.add_string buf "edge ";
+      Printf.bprintf buf "n%d -> n%d :%s" (G.node_id src) (G.node_id tgt) (G.edge_label g e);
+      props (G.edge_props g e);
+      eol ();
+      aside ())
+    (G.edges g);
+  Buffer.contents buf
+
+let document_gen = QCheck2.Gen.(pair graph_gen (int_bound 1_000_000))
+let rng seed = Random.State.make [| seed; 0x9F |]
+
+let prop_thaw =
+  QCheck2.Test.make ~name:"PGF ingest thaws to the graph it describes" ~count:200 document_gen
+    (fun (g, seed) ->
+      match Pgf.parse_columns (document (rng seed) g) with
+      | Ok columns -> G.equal g (Staging.thaw columns)
+      | Error _ -> false)
+
+let ints (a : Snapshot.ints) = List.init (Bigarray.Array1.dim a) (fun i -> a.{i})
+
+(* column by column; labels and property keys compared as names *)
+let same_snapshot st1 (a : Snapshot.t) st2 (b : Snapshot.t) =
+  let names st col = List.map (Symtab.name st) (ints col) in
+  let props st vecs =
+    Array.to_list (Array.map (fun vec -> Array.to_list (Array.map (fun (k, v) -> (Symtab.name st k, v)) vec)) vecs)
+  in
+  let same_props p q =
+    List.equal (List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && V.equal v1 v2)) p q
+  in
+  a.n = b.n && a.m = b.m
+  && List.for_all2
+       (fun x y -> ints x = ints y)
+       [ a.node_id; a.edge_id; a.edge_src; a.edge_tgt; a.out_start; a.out_adj; a.in_start; a.in_adj ]
+       [ b.node_id; b.edge_id; b.edge_src; b.edge_tgt; b.out_start; b.out_adj; b.in_start; b.in_adj ]
+  && names st1 a.node_label = names st2 b.node_label
+  && names st1 a.edge_label = names st2 b.edge_label
+  && same_props (props st1 a.node_props) (props st2 b.node_props)
+  && same_props (props st1 a.edge_props) (props st2 b.edge_props)
+
+let prop_columns =
+  QCheck2.Test.make ~name:"frozen PGF columns == Snapshot.build of the graph" ~count:200
+    document_gen (fun (g, seed) ->
+      match Pgf.parse_columns (document (rng seed) g) with
+      | Error _ -> false
+      | Ok columns ->
+        let st1 = Symtab.create () and st2 = Symtab.create () in
+        same_snapshot st1 (Snapshot.freeze st1 columns) st2 (Snapshot.build st2 g))
+
+(* Record-level damage: the strict slurp fails exactly at the first line
+   the tolerant streaming reader skips, with the same message, and the
+   tolerant graph is the slurp of the document without the skipped
+   lines (a skipped record leaves no trace). *)
+let prop_corrupted_lines =
+  QCheck2.Test.make ~name:"slurp and tolerant stream fault the same line" ~count:200
+    QCheck2.Gen.(triple graph_gen (int_bound 1_000_000) (int_bound 2))
+    (fun (g, seed, kind) ->
+      let rng = rng seed in
+      let mutate =
+        match kind with
+        | 0 -> Graphql_pg.Corruption.garble_record
+        | 1 -> Graphql_pg.Corruption.drop_record
+        | _ -> Graphql_pg.Corruption.duplicate_record
+      in
+      match mutate rng (document rng g) with
+      | None -> true
+      | Some (_, bad) -> (
+        let o = Stream.read_pgf (Graphql_pg.Chunked.of_string ~chunk_size:(1 + (seed mod 17)) bad) in
+        let skipped = List.map (fun (f : Stream.fault) -> f.record) o.Stream.faults in
+        let kept =
+          String.concat "\n"
+            (List.mapi
+               (fun i l -> if List.mem (i + 1) skipped then "" else l)
+               (String.split_on_char '\n' bad))
+        in
+        let same_graph () =
+          match Pgf.parse_columns kept with
+          | Ok columns -> G.equal (Staging.thaw columns) (Staging.thaw o.Stream.graph)
+          | Error _ -> false
+        in
+        match (Pgf.parse_columns bad, o.Stream.faults) with
+        | Ok _, [] -> same_graph ()
+        | Error e, f :: _ ->
+          e.Pgf.line = f.Stream.record && e.Pgf.message = f.Stream.message && same_graph ()
+        | Ok _, _ :: _ | Error _, [] -> false))
+
 let suite =
   [
     Alcotest.test_case "basics" `Quick test_basic;
@@ -220,4 +361,7 @@ let suite =
     Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
     Alcotest.test_case "print/parse round-trip" `Quick test_print_parse_round_trip;
     QCheck_alcotest.to_alcotest prop_round_trip;
+    QCheck_alcotest.to_alcotest prop_thaw;
+    QCheck_alcotest.to_alcotest prop_columns;
+    QCheck_alcotest.to_alcotest prop_corrupted_lines;
   ]

@@ -451,6 +451,45 @@ let test_snapshot_cache_keyed_by_plan_instance () =
     (Json.to_string third);
   List.iter Sys.remove [ sdl; pgf; snap_path; other_sdl ]
 
+let test_text_graph_rebased_per_plan () =
+  (* A text graph is frozen against a symbol table private to its
+     request and rebased onto the plan entry's own under the entry's
+     lock.  The lenient and strict entries of one schema hold different
+     symtabs, so each must get its own rebase: graph-only names (the
+     :Alien label, the rank and w keys) must render exactly as the
+     one-shot CLI renders them, whichever entry asked first. *)
+  let svc = service () in
+  let sdl =
+    temp_with
+      "type Person @key(fields: [\"name\"]) {\n\
+      \  name: String! @required\n\
+      \  likes: [Person]\n\
+       }\n"
+  in
+  let pgf =
+    temp_with
+      "node n0 :Person {name: \"Ripley\", rank: 3}\n\
+       node n1 :Alien {name: \"Xeno\"}\n\
+       node n2 :Person {name: \"Ripley\"}\n\
+       edge n0 -> n1 :likes {w: 1}\n\
+       edge n2 -> n0 :hunts\n"
+  in
+  List.iter
+    (fun lenient ->
+      let served =
+        Service.handle svc
+          (validate_req ?lenient:(if lenient then Some true else None) ~schema:sdl ~graph:pgf ())
+      in
+      check_parity
+        ~what:(if lenient then "lenient entry" else "strict entry")
+        served
+        (run_cli
+           (cli_validate_args ?extra:(if lenient then Some "--lenient" else None) ~schema:sdl
+              ~graph:pgf ())))
+    [ false; true; false; true ];
+  check_int "two plan entries" 2 (Service.plan_stats svc).Cache.size;
+  List.iter Sys.remove [ sdl; pgf ]
+
 let test_plan_cache_invalidation_end_to_end () =
   let svc = service () in
   let sch_path = Filename.temp_file "gpgs_inval" ".graphql" in
@@ -765,6 +804,8 @@ let suite =
     Alcotest.test_case "served = CLI bytes on snapshots" `Quick test_served_snapshot_parity;
     Alcotest.test_case "snapshot cache is per plan instance" `Quick
       test_snapshot_cache_keyed_by_plan_instance;
+    Alcotest.test_case "text graphs rebase onto each plan instance" `Quick
+      test_text_graph_rebased_per_plan;
     Alcotest.test_case "plan cache invalidates on schema edit" `Quick
       test_plan_cache_invalidation_end_to_end;
     Alcotest.test_case "served = CLI bytes for the pgschema frontend" `Quick

@@ -97,8 +97,10 @@ let prop_graphml_corrupted =
     graphml_result_equal Graphml.parse Graphml.read
 
 (* the tolerant reader must not care about chunk geometry either *)
-let outcome_equal (a : Stream.outcome) (b : Stream.outcome) =
-  G.equal a.graph b.graph && a.complete = b.complete && a.faults = b.faults
+let thawed (o : GP.Staging.t Stream.outcome) = GP.Staging.thaw o.graph
+
+let outcome_equal (a : GP.Staging.t Stream.outcome) (b : GP.Staging.t Stream.outcome) =
+  G.equal (thawed a) (thawed b) && a.complete = b.complete && a.faults = b.faults
   && a.budget_exhausted = b.budget_exhausted
   && a.records = b.records
 
@@ -147,7 +149,7 @@ let test_garbled_edge_skipped () =
   check_int "all records seen" 4 o.records;
   (* atomic skip: the graph is as if the record were absent *)
   match Pgf.parse (drop_line 4 sample) with
-  | Ok expected -> check_bool "graph minus the record" true (G.equal o.graph expected)
+  | Ok expected -> check_bool "graph minus the record" true (G.equal (thawed o) expected)
   | Result.Error _ -> Alcotest.fail "reference parse failed"
 
 let test_garbled_node_cascades () =
@@ -157,8 +159,8 @@ let test_garbled_node_cascades () =
   check_int "cascading faults" 3 (List.length o.faults);
   check_bool "fault order" true
     (List.map (fun (f : Stream.fault) -> f.record) o.faults = [ 2; 4; 5 ]);
-  check_int "surviving node" 1 (G.node_count o.graph);
-  check_int "no surviving edge" 0 (G.edge_count o.graph)
+  check_int "surviving node" 1 (G.node_count (thawed o));
+  check_int "no surviving edge" 0 (G.edge_count (thawed o))
 
 let test_error_budget () =
   let text = "node a :A\nnode b :B\nnode c :C\nnode d :D\n" in
@@ -169,12 +171,12 @@ let test_error_budget () =
   check_bool "budget exhausted" true o.budget_exhausted;
   check_bool "incomplete" false o.complete;
   check_int "stopped at record 2" 2 o.records;
-  check_int "nothing ingested" 0 (G.node_count o.graph);
+  check_int "nothing ingested" 0 (G.node_count (thawed o));
   (* unlimited budget reads to the end *)
   let o' = Stream.read_pgf (Stream.of_string bad) in
   check_int "all faults without budget" 3 (List.length o'.faults);
   check_bool "no early stop without budget" false o'.budget_exhausted;
-  check_int "clean tail ingested" 1 (G.node_count o'.graph)
+  check_int "clean tail ingested" 1 (G.node_count (thawed o'))
 
 let test_quarantine_exact () =
   let input = Filename.temp_file "gpgs_stream" ".pgf" in
@@ -237,7 +239,7 @@ let prop_duplicate_record =
           && (List.hd o.faults).record = line
           && (List.hd o.faults).text = dup
           && (not o.complete)
-          && G.equal o.graph (Result.get_ok (Pgf.parse text))
+          && G.equal (thawed o) (Result.get_ok (Pgf.parse text))
         else o.faults = [] && o.complete)
 
 let test_partial_graph_still_validates () =
@@ -249,9 +251,9 @@ let test_partial_graph_still_validates () =
     let o = Stream.read_pgf (Stream.of_string bad) in
     check_bool "ingest incomplete" false o.complete;
     (* the partial graph flows into validation like any other graph *)
-    let report = GP.Validate.check sch o.graph in
+    let report = GP.Validate.check sch (thawed o) in
     check_bool "validation completed on the partial graph" true report.GP.Validate.complete;
-    check_int "every surviving node checked" (G.node_count o.graph)
+    check_int "every surviving node checked" (G.node_count (thawed o))
       report.GP.Validate.nodes_checked
 
 let test_graphml_tolerant_unknown_endpoint () =
