@@ -102,7 +102,9 @@ let stopped run =
 let expired run =
   stopped run
   ||
-  if run.r_deadline < infinity && Unix.gettimeofday () > run.r_deadline then (
+  (* [>=]: at a 0 ms deadline the clock may not have moved since
+     [start], and the run must still stop before any work *)
+  if run.r_deadline < infinity && Unix.gettimeofday () >= run.r_deadline then (
     Atomic.set run.r_stop true;
     true)
   else false
