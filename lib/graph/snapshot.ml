@@ -137,7 +137,8 @@ let freeze st (s : Staging.t) =
   for j = 0 to m - 1 do
     edge_label.{j} <- tr s.edge_label.(j)
   done;
-  let props keys vals start stop =
+  let vector (p : Staging.props) i =
+    let keys = p.keys and vals = p.vals and start = p.start.(i) and stop = p.start.(i + 1) in
     if start = stop then [||]
     else begin
       let unseen = ref [] in
@@ -155,12 +156,8 @@ let freeze st (s : Staging.t) =
       vec
     end
   in
-  let node_props =
-    Array.init n (fun i -> props s.node_pkey s.node_pval s.node_pstart.(i) s.node_pstart.(i + 1))
-  in
-  let edge_props =
-    Array.init m (fun j -> props s.edge_pkey s.edge_pval s.edge_pstart.(j) s.edge_pstart.(j + 1))
-  in
+  let node_props = Array.init n (vector s.node_props) in
+  let edge_props = Array.init m (vector s.edge_props) in
   let edge_src = s.edge_src and edge_tgt = s.edge_tgt and edge_id = s.edge_id in
   (* out segments sorted by (label, target, id), in segments by (label,
      source, id) *)

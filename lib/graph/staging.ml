@@ -14,13 +14,7 @@ module Names = struct
      known allocates nothing. *)
   type t = { mutable names : string array; mutable count : int; mutable slots : int array }
 
-  let create ?(size_hint = 16) () =
-    let cap = ref 16 in
-    while !cap < 2 * size_hint do
-      cap := 2 * !cap
-    done;
-    { names = Array.make (max 8 size_hint) ""; count = 0; slots = Array.make !cap (-1) }
-
+  let create () = { names = Array.make 16 ""; count = 0; slots = Array.make 32 (-1) }
   let count t = t.count
   let name t id = t.names.(id)
 
@@ -54,7 +48,8 @@ module Names = struct
     let mask = Array.length t.slots - 1 in
     probe t.slots t.names mask s pos len (hash s pos len land mask)
 
-  let rec free_slot slots mask i = if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
+  let rec free_slot slots mask i =
+    if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
 
   let place slots name id =
     let mask = Array.length slots - 1 in
@@ -89,22 +84,20 @@ end
 
 (* ---- the staging columns ---- *)
 
+type props = { mutable start : int array; mutable keys : int array; mutable vals : Value.t array }
+
 type t = {
   syms : Names.t;
   mutable n : int;
   mutable node_id : int array;
   mutable node_label : int array;
-  mutable node_pstart : int array;
+  node_props : props;
   mutable m : int;
   mutable edge_id : int array;
   mutable edge_label : int array;
   mutable edge_src : int array;
   mutable edge_tgt : int array;
-  mutable edge_pstart : int array;
-  mutable node_pkey : int array;
-  mutable node_pval : Value.t array;
-  mutable edge_pkey : int array;
-  mutable edge_pval : Value.t array;
+  edge_props : props;
   (* the properties of the record about to be added *)
   mutable pend_key : int array;
   mutable pend_val : Value.t array;
@@ -113,25 +106,23 @@ type t = {
 
 let no_value = Value.Bool false
 
+let props_create count =
+  { start = Array.make (count + 1) 0; keys = Array.make count 0; vals = Array.make count no_value }
+
 let create ?(nodes = 64) ?(edges = 64) () =
   let nodes = max 1 nodes and edges = max 1 edges in
-  let node_pstart = Array.make (nodes + 1) 0 and edge_pstart = Array.make (edges + 1) 0 in
   {
     syms = Names.create ();
     n = 0;
     node_id = Array.make nodes 0;
     node_label = Array.make nodes 0;
-    node_pstart;
+    node_props = props_create nodes;
     m = 0;
     edge_id = Array.make edges 0;
     edge_label = Array.make edges 0;
     edge_src = Array.make edges 0;
     edge_tgt = Array.make edges 0;
-    edge_pstart;
-    node_pkey = Array.make nodes 0;
-    node_pval = Array.make nodes no_value;
-    edge_pkey = Array.make edges 0;
-    edge_pval = Array.make edges no_value;
+    edge_props = props_create edges;
     pend_key = Array.make 8 0;
     pend_val = Array.make 8 no_value;
     pend = 0;
@@ -168,23 +159,26 @@ let prop t key v =
   end;
   t.pend_val.(i) <- v
 
+(* Close element [i]'s property range with the pending properties. *)
+let commit_props t p i =
+  p.start <- room p.start (i + 1) 0;
+  let start = p.start.(i) and count = t.pend in
+  if count > 0 then begin
+    p.keys <- room p.keys (start + count - 1) 0;
+    p.vals <- room p.vals (start + count - 1) no_value;
+    Array.blit t.pend_key 0 p.keys start count;
+    Array.blit t.pend_val 0 p.vals start count;
+    t.pend <- 0
+  end;
+  p.start.(i + 1) <- start + count
+
 let add_node t ~id ~label =
   let i = t.n in
   t.node_id <- room t.node_id i 0;
   t.node_label <- room t.node_label i 0;
-  t.node_pstart <- room t.node_pstart (i + 1) 0;
-  let start = t.node_pstart.(i) in
-  let stop = start + t.pend in
-  if t.pend > 0 then begin
-    t.node_pkey <- room t.node_pkey (stop - 1) 0;
-    t.node_pval <- room t.node_pval (stop - 1) no_value;
-    Array.blit t.pend_key 0 t.node_pkey start t.pend;
-    Array.blit t.pend_val 0 t.node_pval start t.pend;
-    t.pend <- 0
-  end;
+  commit_props t t.node_props i;
   t.node_id.(i) <- id;
   t.node_label.(i) <- label;
-  t.node_pstart.(i + 1) <- stop;
   t.n <- i + 1
 
 let add_edge t ~id ~label ~src ~tgt =
@@ -195,21 +189,11 @@ let add_edge t ~id ~label ~src ~tgt =
   t.edge_label <- room t.edge_label j 0;
   t.edge_src <- room t.edge_src j 0;
   t.edge_tgt <- room t.edge_tgt j 0;
-  t.edge_pstart <- room t.edge_pstart (j + 1) 0;
-  let start = t.edge_pstart.(j) in
-  let stop = start + t.pend in
-  if t.pend > 0 then begin
-    t.edge_pkey <- room t.edge_pkey (stop - 1) 0;
-    t.edge_pval <- room t.edge_pval (stop - 1) no_value;
-    Array.blit t.pend_key 0 t.edge_pkey start t.pend;
-    Array.blit t.pend_val 0 t.edge_pval start t.pend;
-    t.pend <- 0
-  end;
+  commit_props t t.edge_props j;
   t.edge_id.(j) <- id;
   t.edge_label.(j) <- label;
   t.edge_src.(j) <- src;
   t.edge_tgt.(j) <- tgt;
-  t.edge_pstart.(j + 1) <- stop;
   t.m <- j + 1
 
 (* ---- the graph feed ---- *)
@@ -251,21 +235,23 @@ let of_graph g =
 
 (* ---- the thaw ---- *)
 
-let bindings t keys vals start stop =
-  let rec go k acc = if k < start then acc else go (k - 1) ((symbol_name t keys.(k), vals.(k)) :: acc) in
-  go (stop - 1) []
+let bindings t p i =
+  let rec go k acc =
+    if k < p.start.(i) then acc else go (k - 1) ((symbol_name t p.keys.(k), p.vals.(k)) :: acc)
+  in
+  go (p.start.(i + 1) - 1) []
 
 let thaw t =
   let g = ref G.empty in
   let nodes =
     Array.init t.n (fun i ->
-        let props = bindings t t.node_pkey t.node_pval t.node_pstart.(i) t.node_pstart.(i + 1) in
+        let props = bindings t t.node_props i in
         let g', v = G.add_node !g ~label:(symbol_name t t.node_label.(i)) ~props () in
         g := g';
         v)
   in
   for j = 0 to t.m - 1 do
-    let props = bindings t t.edge_pkey t.edge_pval t.edge_pstart.(j) t.edge_pstart.(j + 1) in
+    let props = bindings t t.edge_props j in
     let g', _ =
       G.add_edge !g ~label:(symbol_name t t.edge_label.(j)) ~props nodes.(t.edge_src.(j))
         nodes.(t.edge_tgt.(j))

@@ -12,10 +12,7 @@
     order they were added; edge endpoints are node indexes.  Labels and
     property keys are ids of the staging area's own symbol table, in
     order of first use; {!Snapshot.freeze} translates them into the
-    symbol table it freezes against.  Property [k] of node [i] is
-    [node_pkey.(k)] / [node_pval.(k)] for [node_pstart.(i) <= k <
-    node_pstart.(i+1)] (edges likewise), in staging order, with at most
-    one binding per key. *)
+    symbol table it freezes against. *)
 
 exception Build_error of string
 (** The graph fed to {!of_graph} is not a well-formed Property Graph:
@@ -29,7 +26,7 @@ exception Build_error of string
 module Names : sig
   type t
 
-  val create : ?size_hint:int -> unit -> t
+  val create : unit -> t
   val count : t -> int
 
   val name : t -> int -> string
@@ -48,22 +45,27 @@ module Names : sig
   val intern : t -> string -> int
 end
 
+type props = private {
+  mutable start : int array;
+  mutable keys : int array;
+  mutable vals : Value.t array;
+}
+(** The properties of element [i] are [keys.(k)] / [vals.(k)] for
+    [start.(i) <= k < start.(i+1)], in staging order, with at most one
+    binding per key. *)
+
 type t = private {
   syms : Names.t;
   mutable n : int;
   mutable node_id : int array;  (** external ids *)
   mutable node_label : int array;
-  mutable node_pstart : int array;
+  node_props : props;
   mutable m : int;
   mutable edge_id : int array;
   mutable edge_label : int array;
   mutable edge_src : int array;
   mutable edge_tgt : int array;
-  mutable edge_pstart : int array;
-  mutable node_pkey : int array;
-  mutable node_pval : Value.t array;
-  mutable edge_pkey : int array;
-  mutable edge_pval : Value.t array;
+  edge_props : props;
   mutable pend_key : int array;
   mutable pend_val : Value.t array;
   mutable pend : int;
