@@ -234,6 +234,130 @@ let test_hostile_csr () =
       | Some e -> check_bool "broken CSR -> IO004" true (e.Sio.code = "IO004")
       | None -> Alcotest.fail "structurally broken snapshot loaded")
 
+(* ---- bad property bytes behind a valid checksum ---- *)
+
+let reseal b =
+  let len = Bytes.length b in
+  Bytes.set_int64_le b (len - 8) (Sio.checksum (Bytes.sub_string b 0 (len - 8)));
+  Bytes.to_string b
+
+let set64 b pos v = Bytes.set_int64_le b pos (Int64.of_int v)
+let props_sdl = "type T {\n  a: Int\n  b: String\n  c: [Int]\n}\n"
+
+(* One node :T {a: 5, b: "xy", c: [1, 2]}.  A fresh table interns T, a,
+   b, c in that order, so from its offset-index entry p the node's
+   vector reads
+     p+0 count 3  | p+8 key a  | p+16 'i' | p+17 5
+     p+25 key b   | p+33 's'   | p+34 length 2 | p+42 "xy"
+     p+44 key c   | p+52 'l'   | p+53 count 2  | p+61 'i' 1 | p+70 'i' 2
+   and ends at p+79.  Each case breaks one field. *)
+let bad_props_cases ~nsyms =
+  [
+    ("unknown value tag", fun b p -> Bytes.set b (p + 16) 'z');
+    ("key id >= symbol count", fun b p -> set64 b (p + 44) nsyms);
+    ("vector count 2^40", fun b p -> set64 b p (1 lsl 40));
+    ("string length 2^40", fun b p -> set64 b (p + 34) (1 lsl 40));
+    ("vector count one short of its offset entry", fun b p -> set64 b p 2);
+    ("list count past the section", fun b p -> set64 b (p + 53) 1000);
+  ]
+
+let test_bad_property_bytes () =
+  let g, _ =
+    G.add_node G.empty ~label:"T"
+      ~props:
+        [
+          ("a", Graphql_pg.Value.Int 5);
+          ("b", Graphql_pg.Value.String "xy");
+          ("c", Graphql_pg.Value.List [ Graphql_pg.Value.Int 1; Graphql_pg.Value.Int 2 ]);
+        ]
+      ()
+  in
+  let plan = Val.compile (Graphql_pg.schema_of_string_exn props_sdl) in
+  with_temp_file (fun path ->
+      let st = Symtab.create () in
+      write_exn st (Snapshot.build st g) path;
+      let whole = read_file path in
+      let nsyms = Int64.to_int (String.get_int64_le whole 32) in
+      let index = Int64.to_int (String.get_int64_le whole (48 + (11 * 8))) in
+      let p = Int64.to_int (String.get_int64_le whole index) in
+      check_bool "fixture layout as documented" true
+        (nsyms = 4 && whole.[p + 16] = 'i' && whole.[p + 33] = 's' && whole.[p + 52] = 'l'
+        && Int64.to_int (String.get_int64_le whole (index + 8)) = p + 79);
+      List.iter
+        (fun (what, patch) ->
+          let b = Bytes.of_string whole in
+          patch b p;
+          write_file path (reseal b);
+          let io004 = function
+            | Error e -> e.Sio.code = "IO004"
+            | Ok _ -> false
+          in
+          match
+            ( io004 (Sio.load (Symtab.create ()) path),
+              match Sio.open_mapped (Plan.symtab plan) path with
+              | Error e -> e.Sio.code = "IO004"
+              | Ok md ->
+                Fun.protect
+                  ~finally:(fun () -> Sio.close_mapped md)
+                  (fun () -> io004 (Val.check_mapped ~shards:2 plan md)) )
+          with
+          | loaded, mapped ->
+            check_bool (what ^ ": load is IO004") true loaded;
+            check_bool (what ^ ": open_mapped or check_mapped is IO004") true mapped
+          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+        (bad_props_cases ~nsyms))
+
+(* ---- the value-kind fixture: the writer's bytes, pinned ---- *)
+
+let test_dir = Filename.dirname Sys.executable_name
+let in_test rel = Filename.concat test_dir rel
+
+(* [gpgs snapshot build] of fixtures/values.pgf (every value kind,
+   edge properties, elements without properties) must reproduce the
+   committed fixtures/values.snap byte for byte. *)
+let test_fixture_bytes () =
+  with_temp_file (fun path ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s snapshot build %s -o %s >/dev/null 2>&1"
+             (Filename.quote (in_test "../bin/gpgs.exe"))
+             (Filename.quote (in_test "fixtures/values.pgf"))
+             (Filename.quote path))
+      in
+      Alcotest.(check int) "snapshot build exits 0" 0 code;
+      check_bool "byte-identical to fixtures/values.snap" true
+        (String.equal (read_file path) (read_file (in_test "fixtures/values.snap"))))
+
+(* The committed snapshot validates exactly as the PGF it was built
+   from, on every compiled engine and through the mapped path. *)
+let test_fixture_validates () =
+  let sch = Graphql_pg.schema_of_string_exn (read_file (in_test "fixtures/values.graphql")) in
+  let g =
+    match Graphql_pg.Pgf.load (in_test "fixtures/values.pgf") with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "fixtures/values.pgf: %a" Graphql_pg.Pgf.pp_error e
+  in
+  let rendered report = List.map Vi.to_string report.Val.violations in
+  let reference = rendered (Val.check ~engine:Val.Naive sch g) in
+  check_bool "the fixture has findings" true (List.length reference = 12);
+  let plan = Val.compile sch in
+  let snap_path = in_test "fixtures/values.snap" in
+  let loaded = load_exn (Plan.symtab plan) snap_path in
+  List.iter
+    (fun engine ->
+      check_bool "loaded snapshot == PGF" true
+        (rendered (Val.check_snapshot ~engine ~shards:3 plan loaded) = reference))
+    [ Val.Linear; Val.Indexed; Val.Parallel; Val.Sharded ];
+  match Sio.open_mapped (Plan.symtab plan) snap_path with
+  | Error e -> Alcotest.failf "open_mapped: %a" Sio.pp_error e
+  | Ok md ->
+    Fun.protect
+      ~finally:(fun () -> Sio.close_mapped md)
+      (fun () ->
+        match Val.check_mapped ~shards:3 plan md with
+        | Ok report -> check_bool "mapped snapshot == PGF" true (rendered report = reference)
+        | Error e -> Alcotest.failf "check_mapped: %a" Sio.pp_error e)
+
 let test_info () =
   let g = Graphql_pg.Social.generate ~persons:10 () in
   with_temp_file (fun path ->
@@ -280,6 +404,9 @@ let suite =
     Alcotest.test_case "future format version is IO004" `Quick test_unsupported_version;
     Alcotest.test_case "hostile header counts are IO004" `Quick test_hostile_counts;
     Alcotest.test_case "non-monotone CSR offsets are IO004" `Quick test_hostile_csr;
+    Alcotest.test_case "bad property bytes are IO004" `Quick test_bad_property_bytes;
+    Alcotest.test_case "snapshot build reproduces the fixture" `Quick test_fixture_bytes;
+    Alcotest.test_case "the fixture validates as its PGF" `Quick test_fixture_validates;
     Alcotest.test_case "info reads the header back" `Quick test_info;
     Alcotest.test_case "missing file is IO001" `Quick test_missing_file;
     Alcotest.test_case "naive engine rejects snapshots" `Quick test_naive_rejected;
