@@ -382,8 +382,8 @@ let validate_cmd =
              parallel, or sharded with --snapshot";
         let plan = GP.Validate.compile sch in
         if engine = GP.Validate.Sharded then begin
-          (* the out-of-core path: int columns mmapped, properties read
-             one shard at a time by the streaming pipeline *)
+          (* the out-of-core path: columns and property pools stay
+             mapped, and each shard touches only its own pages *)
           let md =
             match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) graph_path with
             | Ok md -> md
@@ -526,8 +526,8 @@ let batch_cmd =
     let diag_of_io (e : GP.Snapshot_io.error) = GP.Diag.error ~code:e.code e.message in
     let run_job path =
       if snapshot && engine = GP.Validate.Sharded then
-        (* out-of-core per job: properties stream one shard at a time;
-           the mapped descriptor closes before the next job opens *)
+        (* out-of-core per job: columns and property pools stay
+           mapped, and each shard touches only its own pages *)
         match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) path with
         | Error e -> unreadable path [ diag_of_io e ]
         | Ok md ->

@@ -87,6 +87,7 @@ module Symtab = Pg_graph.Symtab
 module Staging = Pg_graph.Staging
 module Snapshot = Pg_graph.Snapshot
 module Snapshot_io = Pg_graph.Snapshot_io
+module Props = Pg_graph.Props
 module Partition = Pg_graph.Partition
 module Wrapped = Pg_schema.Wrapped
 module Schema = Pg_schema.Schema
@@ -106,7 +107,6 @@ module Naive = Pg_validation.Naive
 module Linear = Pg_validation.Linear
 module Indexed = Pg_validation.Indexed
 module Parallel = Pg_validation.Parallel
-module Shard_stream = Pg_validation.Shard_stream
 module Incremental = Pg_validation.Incremental
 module Schema_diff = Pg_validation.Schema_diff
 module Cnf = Pg_sat.Cnf

@@ -21,16 +21,16 @@ let create dest =
 
 let path t = t.dest
 
-let write t s =
-  let buf = Bytes.unsafe_of_string s in
-  let len = Bytes.length buf in
-  let pos = ref 0 in
-  while !pos < len do
-    match Fault.write t.fd buf !pos (len - !pos) with
+let write_bytes t buf pos len =
+  let pos = ref pos and stop = pos + len in
+  while !pos < stop do
+    match Fault.write t.fd buf !pos (stop - !pos) with
     | n -> pos := !pos + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   Fault.crash_point pt_mid_write
+
+let write t s = write_bytes t (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* fsync the directory so the rename entry itself is on disk.  Some
    filesystems reject fsync on a directory fd (EINVAL) — there the

@@ -28,6 +28,10 @@ val write : t -> string -> unit
 (** Append bytes to the temp file, looping over partial writes with
     EINTR retry. *)
 
+val write_bytes : t -> Bytes.t -> int -> int -> unit
+(** [write_bytes t buf pos len] appends [len] bytes of [buf] from
+    [pos], like {!write}. *)
+
 val commit : t -> unit
 (** Seal the write: fsync the temp file, close it, rename it over the
     destination, fsync the directory.  After [commit] returns the new

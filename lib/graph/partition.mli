@@ -13,8 +13,8 @@
     snapshot's node columns and of its CSR slice: the views alias the
     snapshot's storage (no bytes are copied), so a worker that touches
     only its shard's views touches only that shard's pages — which is
-    what lets the streaming pipeline validate a mapped snapshot without
-    ever materializing the whole property set.
+    what lets the sharded engine validate a mapped snapshot without
+    paging in the whole graph at once.
 
     A shard {e owns} the edges of its out-adjacency slice (every edge
     has exactly one source, so ownership is a partition of the edge
@@ -78,5 +78,4 @@ val frontier_in_nodes : t -> int array
 
 val owned_edges : t -> int -> int array
 (** The edge indexes owned by shard [s] (its [out_adj] slice), sorted
-    ascending — the order the streaming pipeline wants for coalesced
-    property reads. *)
+    ascending. *)

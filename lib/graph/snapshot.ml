@@ -2,16 +2,15 @@
 
    Built in one pass over the {!Staging} columns, then read-only: dense
    0-based node/edge indexes, interned label ids, CSR adjacency in both
-   directions, and per-element property vectors sorted by interned key.
+   directions, and one encoded {!Props} pool per element kind.
    Everything the validation kernels touch is an integer probe — no
    string hashing, no map lookups — and the whole structure is safe to
    share across domains once [freeze] returns.
 
-   The integer columns are Bigarray-backed (off-heap): the GC neither
+   Columns and pools are Bigarray-backed (off-heap): the GC neither
    scans nor moves them, so large graphs do not inflate major-heap
-   marking, and {!Snapshot_io} can persist them verbatim and map them
-   back from disk without a deserialization pass.  Property vectors keep
-   boxed {!Value.t} payloads and therefore stay on the OCaml heap.
+   marking, and {!Snapshot_io} persists them verbatim and maps them back
+   from disk without a deserialization pass.
 
    CSR segments are sorted so that the pair rules become run scans:
    - the out segment of a node is sorted by (edge label, target, edge id),
@@ -30,9 +29,8 @@ type t = {
   edge_label : ints;
   edge_src : ints;  (** edge index -> node index *)
   edge_tgt : ints;
-  node_props : (int * Value.t) array array;
-      (** node index -> properties sorted by interned key *)
-  edge_props : (int * Value.t) array array;
+  node_props : Props.t;  (** node index -> encoded property vector *)
+  edge_props : Props.t;
   out_start : ints;  (** CSR offsets, length n + 1 *)
   out_adj : ints;  (** edge indexes, segment-sorted (label, tgt, id) *)
   in_start : ints;
@@ -50,26 +48,6 @@ let ints_prefix (a : int array) len =
     Bigarray.Array1.unsafe_set b i (Array.unsafe_get a i)
   done;
   b
-
-(* Binary search of a sorted property vector.  Monomorphic int
-   comparisons: this is the hottest lookup of the DS5/DS7 kernels and
-   must not go through caml_compare. *)
-let find_prop (props : (int * Value.t) array) key =
-  let lo = ref 0 and hi = ref (Array.length props) in
-  let found = ref None in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k, v = props.(mid) in
-    if Int.equal k key then begin
-      found := Some v;
-      lo := !hi
-    end
-    else if k < key then lo := mid + 1
-    else hi := mid
-  done;
-  !found
-
-let by_key (a, _) (b, _) = Int.compare a b
 
 (* Sort each CSR segment in place: insertion sort for the short segments
    that dominate real graphs, a heap copy and the library sort beyond. *)
@@ -137,27 +115,19 @@ let freeze st (s : Staging.t) =
   for j = 0 to m - 1 do
     edge_label.{j} <- tr s.edge_label.(j)
   done;
-  let vector (p : Staging.props) i =
-    let keys = p.keys and vals = p.vals and start = p.start.(i) and stop = p.start.(i + 1) in
-    if start = stop then [||]
-    else begin
-      let unseen = ref [] in
-      for k = start to stop - 1 do
-        if trans.(keys.(k)) < 0 then unseen := keys.(k) :: !unseen
-      done;
-      if !unseen <> [] then
-        List.iter
-          (fun k -> ignore (tr k))
-          (List.sort
-             (fun a b -> String.compare (Staging.symbol_name s a) (Staging.symbol_name s b))
-             !unseen);
-      let vec = Array.init (stop - start) (fun x -> (trans.(keys.(start + x)), vals.(start + x))) in
-      Array.sort by_key vec;
-      vec
-    end
+  (* property keys: per vector, the unseen ones in name order *)
+  let by_name a b = String.compare (Staging.symbol_name s a) (Staging.symbol_name s b) in
+  let intern_keys pool i =
+    let unseen = ref [] in
+    Props.iter_keys pool i (fun k -> if trans.(k) < 0 then unseen := k :: !unseen);
+    if !unseen <> [] then List.iter (fun k -> ignore (tr k)) (List.sort by_name !unseen)
   in
-  let node_props = Array.init n (vector s.node_props) in
-  let edge_props = Array.init m (vector s.edge_props) in
+  for i = 0 to n - 1 do
+    intern_keys s.node_props i
+  done;
+  for j = 0 to m - 1 do
+    intern_keys s.edge_props j
+  done;
   let edge_src = s.edge_src and edge_tgt = s.edge_tgt and edge_id = s.edge_id in
   (* out segments sorted by (label, target, id), in segments by (label,
      source, id) *)
@@ -178,8 +148,8 @@ let freeze st (s : Staging.t) =
     edge_label;
     edge_src = ints_prefix edge_src m;
     edge_tgt = ints_prefix edge_tgt m;
-    node_props;
-    edge_props;
+    node_props = Props.freeze s.node_props trans;
+    edge_props = Props.freeze s.edge_props trans;
     out_start;
     out_adj;
     in_start;
@@ -199,18 +169,10 @@ let remap_labels remap (a : ints) =
 let rebase ~src st snap =
   let trans = Array.init (Symtab.size src) (fun id -> Symtab.intern st (Symtab.name src id)) in
   let remap id = trans.(id) in
-  let vec props =
-    if Array.length props = 0 then props
-    else begin
-      let v = Array.map (fun (k, x) -> (remap k, x)) props in
-      Array.sort by_key v;
-      v
-    end
-  in
   {
     snap with
     node_label = remap_labels remap snap.node_label;
     edge_label = remap_labels remap snap.edge_label;
-    node_props = Array.map vec snap.node_props;
-    edge_props = Array.map vec snap.edge_props;
+    node_props = Props.translate remap snap.node_props;
+    edge_props = Props.translate remap snap.edge_props;
   }

@@ -1,19 +1,19 @@
 (** Frozen structure-of-arrays snapshot of a staged graph.
 
     Dense node/edge indexes, interned labels, CSR adjacency both ways and
-    sorted property vectors — the read-only substrate the compiled
+    encoded property pools — the read-only substrate the compiled
     validation kernels run on (see {!Symtab} for the interning contract).
 
-    All integer columns are off-heap [Bigarray] arrays ([ints]): the GC
-    never scans them, they are shared across domains without copying, and
-    a persisted snapshot ({!Snapshot_io}) maps them straight from disk.
-    Property vectors stay on the OCaml heap because they carry boxed
-    {!Value.t} payloads.
+    All integer columns are off-heap [Bigarray] arrays ([ints]), and so
+    are the bytes of the two {!Props} pools: the GC never scans them,
+    they are shared across domains without copying, and a persisted
+    snapshot ({!Snapshot_io}) maps them straight from disk.  A property
+    value is decoded only when a rule reads it.
 
     The out segment of node [i] is [out_adj.{out_start.{i}} ..
     out_adj.{out_start.{i+1} - 1}], sorted by (edge label, target index,
     edge id); the in segment is sorted by (edge label, source index, edge
-    id).  Property vectors are sorted by interned key id.  Kernels only
+    id).  Kernels only
     rely on equal labels being {e contiguous} within a segment (run
     scans), never on the numeric order of label ids — which is what lets
     {!Snapshot_io.load} remap symbols without re-sorting the CSR. *)
@@ -30,8 +30,8 @@ type t = {
   edge_label : ints;
   edge_src : ints;
   edge_tgt : ints;
-  node_props : (int * Value.t) array array;
-  edge_props : (int * Value.t) array array;
+  node_props : Props.t;
+  edge_props : Props.t;
   out_start : ints;
   out_adj : ints;
   in_start : ints;
@@ -48,7 +48,8 @@ exception Build_error of string
 val freeze : Symtab.t -> Staging.t -> t
 (** Freeze staged columns: translate their labels and property keys
     into the symbol table (interning the ones it lacks, so the table is
-    mutated), sort the property vectors and build the CSR.  Symbols are
+    mutated) and build the CSR.  The staged property pools are handed
+    over as they are, with a translation into the table.  Symbols are
     first met in a fixed order — node labels, edge labels, then each
     vector's property keys by name — so freezing a staged PGF document
     and {!build}ing the graph it describes assign the same ids and yield
@@ -62,16 +63,13 @@ val rebase : src:Symtab.t -> Symtab.t -> t -> t
 (** [rebase ~src st snap] re-expresses a snapshot frozen against [src]
     in the ids of [st], interning every name of [src] into [st] in id
     order — the writer-id to reader-id translation {!Snapshot_io.load}
-    applies to a file.  Label columns and property vectors are copied
-    and remapped; the CSR is shared, since a remap keeps equal labels
-    contiguous.  This lets a graph be frozen against a private table and
+    applies to a file.  Label columns are copied and remapped; the
+    property pools get a composed translation and share their bytes; the
+    CSR is shared, since a remap keeps equal labels contiguous.  This lets a graph be frozen against a private table and
     attached to a shared one later, for just the cost of the remap. *)
 
 val remap_labels : (int -> int) -> ints -> ints
 (** A fresh label column with every id mapped. *)
-
-val find_prop : (int * Value.t) array -> int -> Value.t option
-(** Binary search of a sorted property vector by interned key. *)
 
 val ints_create : int -> ints
 (** An uninitialized off-heap vector of the given length. *)

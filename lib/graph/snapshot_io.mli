@@ -16,32 +16,28 @@
     2 offset indexes      node_prop_off (n+1), edge_prop_off (m+1):
                           absolute byte positions of each element's
                           property vector (mmap-ready int columns)
-    2 property sections   node_props, edge_props (tagged values)
+    2 property sections   node_props, edge_props: {!Props} pools
     trailing CRC-32       over every preceding byte
     v}
 
-    {!load} verifies magic, version, size and checksum, maps the twelve
-    integer sections with [Unix.map_file] (shared copy-on-write pages —
-    the CSR is never copied through the OCaml heap), and then {e remaps}
-    the stored symbols into the caller's symbol table: label columns and
-    property keys are rewritten through an [old id -> intern] table and
-    property vectors re-sorted.  Kernels only rely on equal labels being
-    contiguous within a CSR segment, so the mapped adjacency needs no
-    re-sort and validation reports are byte-identical to a fresh
-    {!Snapshot.build} over the same graph.  A snapshot file is therefore
-    self-contained and schema-independent: it can be validated against
-    any plan.
+    {!load} verifies magic, version, size and checksum, and maps the
+    twelve integer sections and both property sections with
+    [Unix.map_file] (private pages — neither the CSR nor a property
+    value is copied through the OCaml heap).  One scan at open proves
+    every property vector well formed ({!Props.of_section}); a value is
+    decoded only when a rule reads it.  The stored symbols are then
+    {e remapped} into the caller's symbol table: label columns are
+    rewritten through an [old id -> intern] table, and the property
+    pools get that table as their translation, so no property byte
+    changes.  Kernels only rely on equal labels being contiguous within
+    a CSR segment, so the mapped adjacency needs no re-sort and
+    validation reports are byte-identical to a fresh {!Snapshot.build}
+    over the same graph.  A snapshot file is therefore self-contained
+    and schema-independent: it can be validated against any plan.
 
-    {2 Shard-addressable loading}
-
-    The property offset indexes (new in version 2) make a snapshot
-    addressable below whole-file granularity: {!open_mapped} performs
-    the same verification and mapping as {!load} but reads {e no}
-    property bytes, and {!load_node_props}/{!load_edge_props} then pull
-    exactly the requested elements' byte ranges off disk.  The sharded
-    streaming validator materializes one {!Partition} shard's properties
-    at a time, validates, and {!drop_node_props}s them before touching
-    the next shard — other shards' property pages are never read. *)
+    A loaded snapshot holds no file descriptor.  Its pages belong to the
+    file: an I/O error paging one in is a [SIGBUS], as for any mapped
+    file. *)
 
 type error = { code : string; message : string }
 (** [code] is a stable {!Pg_diag.Registry} code: [IO001] for filesystem
@@ -63,17 +59,19 @@ val format_version : int
 
 val write : Symtab.t -> Snapshot.t -> string -> (unit, error) result
 (** [write st snap path] persists [snap] together with the symbols of
-    [st] it references.  The file is written to a temporary sibling and
-    renamed into place, so a crashed writer never leaves a torn file
-    under [path]. *)
+    [st] it references.  The file is streamed, each section's length
+    known before the first byte, to a temporary sibling that is renamed
+    into place, so a crashed writer never leaves a torn file under
+    [path]. *)
 
 val load : Symtab.t -> string -> (Snapshot.t, error) result
 (** [load st path] maps a snapshot back, interning its symbols into
     [st] (mutating it, like {!Snapshot.build} — sequential-only while
     interning).  The integer sections are validated structurally (CSR
     offsets monotone and closed, endpoints in range, property offset
-    indexes monotone and within their sections) so a malformed file
-    fails with a diagnostic instead of a kernel exception. *)
+    indexes monotone and within their sections) and the property
+    sections scanned, so a malformed file fails with a diagnostic
+    instead of a kernel exception. *)
 
 val info : string -> (info, error) result
 (** Header summary of a snapshot file, after the same magic / version /
@@ -82,44 +80,17 @@ val info : string -> (info, error) result
 (** {2 Out-of-core access} *)
 
 type mapped
-(** A verified snapshot whose int columns are mmapped but whose property
-    vectors are loaded on demand: {!mapped_snapshot} starts with every
-    property slot empty ([[||]]).  Holds an open file descriptor until
-    {!close_mapped}. *)
+(** A verified, fully mapped snapshot: the same thing {!load} returns,
+    under the name the sharded out-of-core path uses. *)
 
 val open_mapped : Symtab.t -> string -> (mapped, error) result
-(** Same verification, mapping and symbol interning as {!load}, but no
-    property bytes are read.  Errors carry the same codes as {!load}. *)
+(** {!load}, as a handle. *)
 
 val mapped_snapshot : mapped -> Snapshot.t
-(** The underlying snapshot view.  Property slots are filled and cleared
-    in place by the calls below; the int columns are complete from the
-    start, so topology-only kernels can run immediately. *)
-
-val load_node_props : mapped -> lo:int -> hi:int -> (unit, error) result
-(** Read the property vectors of nodes [\[lo, hi)] — one contiguous byte
-    range located through the offset index — into the snapshot's
-    [node_props] slots.
-    @raise Invalid_argument if the range is out of bounds. *)
-
-val load_edge_props : mapped -> int array -> (unit, error) result
-(** Read the property vectors of the given edges (ascending indexes)
-    into the snapshot's [edge_props] slots.  Nearby edges share one read
-    request (ranges within 4 KiB coalesce), so a shard's clustered owned
-    edges cost a few sequential reads.
-    @raise Invalid_argument on out-of-bounds or unsorted indexes. *)
-
-val drop_node_props : mapped -> lo:int -> hi:int -> unit
-(** Reset the property slots of nodes [\[lo, hi)] to empty, releasing
-    the heap they held — the "dropped" half of the streaming pipeline's
-    build / validate / drop cycle. *)
-
-val drop_edge_props : mapped -> int array -> unit
 
 val close_mapped : mapped -> unit
-(** Close the underlying channel.  The mapped int columns stay valid
-    (the mapping outlives the descriptor); only
-    {!load_node_props}/{!load_edge_props} become unusable. *)
+(** Nothing to release: the handle holds no descriptor, and its
+    mappings go with the snapshot when it is collected. *)
 
 val checksum : string -> int64
 (** The CRC-32 (IEEE, as used for the trailing checksum) of a raw byte

@@ -84,30 +84,20 @@ end
 
 (* ---- the staging columns ---- *)
 
-type props = { mutable start : int array; mutable keys : int array; mutable vals : Value.t array }
-
 type t = {
   syms : Names.t;
   mutable n : int;
   mutable node_id : int array;
   mutable node_label : int array;
-  node_props : props;
+  node_props : Props.builder;
   mutable m : int;
   mutable edge_id : int array;
   mutable edge_label : int array;
   mutable edge_src : int array;
   mutable edge_tgt : int array;
-  edge_props : props;
-  (* the properties of the record about to be added *)
-  mutable pend_key : int array;
-  mutable pend_val : Value.t array;
-  mutable pend : int;
+  edge_props : Props.builder;
+  pend : Props.pending;  (** the properties of the record about to be added *)
 }
-
-let no_value = Value.Bool false
-
-let props_create count =
-  { start = Array.make (count + 1) 0; keys = Array.make count 0; vals = Array.make count no_value }
 
 let create ?(nodes = 64) ?(edges = 64) () =
   let nodes = max 1 nodes and edges = max 1 edges in
@@ -116,16 +106,14 @@ let create ?(nodes = 64) ?(edges = 64) () =
     n = 0;
     node_id = Array.make nodes 0;
     node_label = Array.make nodes 0;
-    node_props = props_create nodes;
+    node_props = Props.builder nodes;
     m = 0;
     edge_id = Array.make edges 0;
     edge_label = Array.make edges 0;
     edge_src = Array.make edges 0;
     edge_tgt = Array.make edges 0;
-    edge_props = props_create edges;
-    pend_key = Array.make 8 0;
-    pend_val = Array.make 8 no_value;
-    pend = 0;
+    edge_props = Props.builder edges;
+    pend = Props.pending ();
   }
 
 let node_count t = t.n
@@ -136,47 +124,22 @@ let symbol_name t id = Names.name t.syms id
 let symbols t = Names.count t.syms
 
 (* [a] with room for index [need], doubling *)
-let room a need fill =
+let room a need =
   let len = Array.length a in
   if need < len then a
   else begin
-    let b = Array.make (max (need + 1) (2 * len)) fill in
+    let b = Array.make (max (need + 1) (2 * len)) 0 in
     Array.blit a 0 b 0 len;
     b
   end
 
-let prop t key v =
-  let i = ref 0 in
-  while !i < t.pend && t.pend_key.(!i) <> key do
-    incr i
-  done;
-  let i = !i in
-  if i = t.pend then begin
-    t.pend_key <- room t.pend_key i 0;
-    t.pend_val <- room t.pend_val i no_value;
-    t.pend_key.(i) <- key;
-    t.pend <- i + 1
-  end;
-  t.pend_val.(i) <- v
-
-(* Close element [i]'s property range with the pending properties. *)
-let commit_props t p i =
-  p.start <- room p.start (i + 1) 0;
-  let start = p.start.(i) and count = t.pend in
-  if count > 0 then begin
-    p.keys <- room p.keys (start + count - 1) 0;
-    p.vals <- room p.vals (start + count - 1) no_value;
-    Array.blit t.pend_key 0 p.keys start count;
-    Array.blit t.pend_val 0 p.vals start count;
-    t.pend <- 0
-  end;
-  p.start.(i + 1) <- start + count
+let prop t key v = Props.bind t.pend key v
 
 let add_node t ~id ~label =
   let i = t.n in
-  t.node_id <- room t.node_id i 0;
-  t.node_label <- room t.node_label i 0;
-  commit_props t t.node_props i;
+  t.node_id <- room t.node_id i;
+  t.node_label <- room t.node_label i;
+  Props.commit t.node_props t.pend;
   t.node_id.(i) <- id;
   t.node_label.(i) <- label;
   t.n <- i + 1
@@ -185,11 +148,11 @@ let add_edge t ~id ~label ~src ~tgt =
   if src < 0 || src >= t.n || tgt < 0 || tgt >= t.n then
     invalid_arg "Staging.add_edge: endpoint is not a staged node";
   let j = t.m in
-  t.edge_id <- room t.edge_id j 0;
-  t.edge_label <- room t.edge_label j 0;
-  t.edge_src <- room t.edge_src j 0;
-  t.edge_tgt <- room t.edge_tgt j 0;
-  commit_props t t.edge_props j;
+  t.edge_id <- room t.edge_id j;
+  t.edge_label <- room t.edge_label j;
+  t.edge_src <- room t.edge_src j;
+  t.edge_tgt <- room t.edge_tgt j;
+  Props.commit t.edge_props t.pend;
   t.edge_id.(j) <- id;
   t.edge_label.(j) <- label;
   t.edge_src.(j) <- src;
@@ -235,23 +198,20 @@ let of_graph g =
 
 (* ---- the thaw ---- *)
 
-let bindings t p i =
-  let rec go k acc =
-    if k < p.start.(i) then acc else go (k - 1) ((symbol_name t p.keys.(k), p.vals.(k)) :: acc)
-  in
-  go (p.start.(i + 1) - 1) []
-
 let thaw t =
+  let ids = Array.init (symbols t) Fun.id in
+  let node_props = Props.freeze t.node_props ids and edge_props = Props.freeze t.edge_props ids in
+  let bindings p i = List.map (fun (k, v) -> (symbol_name t k, v)) (Props.bindings p i) in
   let g = ref G.empty in
   let nodes =
     Array.init t.n (fun i ->
-        let props = bindings t t.node_props i in
+        let props = bindings node_props i in
         let g', v = G.add_node !g ~label:(symbol_name t t.node_label.(i)) ~props () in
         g := g';
         v)
   in
   for j = 0 to t.m - 1 do
-    let props = bindings t t.edge_props j in
+    let props = bindings edge_props j in
     let g', _ =
       G.add_edge !g ~label:(symbol_name t t.edge_label.(j)) ~props nodes.(t.edge_src.(j))
         nodes.(t.edge_tgt.(j))

@@ -45,33 +45,24 @@ module Names : sig
   val intern : t -> string -> int
 end
 
-type props = private {
-  mutable start : int array;
-  mutable keys : int array;
-  mutable vals : Value.t array;
-}
-(** The properties of element [i] are [keys.(k)] / [vals.(k)] for
-    [start.(i) <= k < start.(i+1)], in staging order, with at most one
-    binding per key. *)
-
 type t = private {
   syms : Names.t;
   mutable n : int;
   mutable node_id : int array;  (** external ids *)
   mutable node_label : int array;
-  node_props : props;
+  node_props : Props.builder;
   mutable m : int;
   mutable edge_id : int array;
   mutable edge_label : int array;
   mutable edge_src : int array;
   mutable edge_tgt : int array;
-  edge_props : props;
-  mutable pend_key : int array;
-  mutable pend_val : Value.t array;
-  mutable pend : int;
+  edge_props : Props.builder;
+  pend : Props.pending;
 }
 (** The columns may be longer than [n] / [m] (they grow by doubling);
-    only the first [n] / [m] entries are live. *)
+    only the first [n] / [m] entries are live.  Properties are encoded
+    as they are bound, into one {!Props} pool per element kind keyed by
+    staging symbol ids. *)
 
 val create : ?nodes:int -> ?edges:int -> unit -> t
 (** An empty staging area, with room for the given counts before the
@@ -91,9 +82,10 @@ val symbol_name : t -> int -> string
 val symbols : t -> int
 
 val prop : t -> int -> Value.t -> unit
-(** [prop t key v] binds a property of the record about to be added by
-    {!add_node} or {!add_edge}.  Binding a key again replaces the value:
-    the last binding wins, as in {!Property_graph.add_node}. *)
+(** [prop t key v] encodes a property of the record about to be added
+    by {!add_node} or {!add_edge}.  Binding a key again replaces the
+    value: the last binding wins, as in {!Property_graph.add_node}.  The
+    record's vector is sorted by key when the record is added. *)
 
 val add_node : t -> id:int -> label:int -> unit
 (** Append a node with the pending properties; its index is the node
@@ -110,8 +102,8 @@ val of_graph : Property_graph.t -> t
     node ids. *)
 
 val thaw : t -> Property_graph.t
-(** The staged graph as a persistent {!Property_graph}, nodes and edges
-    numbered by index (so a staged PGF document thaws to exactly the
+(** The staged graph as a persistent {!Property_graph}, its property
+    values decoded, nodes and edges numbered by index (so a staged PGF document thaws to exactly the
     graph its records describe). *)
 
 val pp : Format.formatter -> t -> unit

@@ -309,9 +309,9 @@ let run_validate t ~cancel (r : Protocol.validate_req) =
             "--engine naive validates the source graph text; use linear, indexed, \
              parallel, or sharded with --snapshot";
         if engine = GP.Validate.Sharded then
-          (* Out-of-core: the mapped handle holds a file descriptor, so
-             it is opened per attempt (retry-safe) rather than cached,
-             and closed before the response goes out. *)
+          (* Out-of-core: the file is mapped afresh per attempt
+             (retry-safe) rather than taken from the snapshot cache, as
+             the one-shot CLI maps it. *)
           fun () ->
             let md =
               match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) r.graph with

@@ -25,6 +25,7 @@
 
 module G = Pg_graph.Property_graph
 module Value = Pg_graph.Value
+module Props = Pg_graph.Props
 module Snapshot = Pg_graph.Snapshot
 module Plan = Pg_schema.Plan
 module Values_w = Pg_schema.Values_w
@@ -63,14 +64,17 @@ let pairwise group mk acc =
 (* ------------------------------------------------------------------ *)
 (* Per-node rule bodies                                                 *)
 
-(* WS1: node properties must be of the required type *)
+(* WS1: node properties must be of the required type.  Only the values
+   of declared attributes are decoded. *)
 let ws1_node ctx i acc =
   let snap = ctx.snap in
+  let props = snap.Snapshot.node_props in
   let l = snap.Snapshot.node_label.{i} in
-  Array.fold_left
-    (fun acc (k, value) ->
+  Props.fold props i
+    (fun k pos acc ->
       match Plan.field ctx.plan l k with
       | Some fi when fi.Plan.fi_attr ->
+        let value = Props.value props pos in
         if fi.Plan.fi_mem ctx.env value then acc
         else
           Violation.make Violation.WS1
@@ -80,7 +84,6 @@ let ws1_node ctx i acc =
           :: acc
       | Some _ | None -> acc)
     acc
-    snap.Snapshot.node_props.(i)
 
 (* SS1: all nodes are justified *)
 let ss1_node ctx i acc =
@@ -101,8 +104,8 @@ let ss2_node ctx i acc =
   let l = snap.Snapshot.node_label.{i} in
   if Plan.is_open ctx.plan l then acc
   else
-  Array.fold_left
-    (fun acc (k, _) ->
+  Props.fold snap.Snapshot.node_props i
+    (fun k _ acc ->
       match Plan.field ctx.plan l k with
       | Some fi when fi.Plan.fi_attr -> acc
       | Some _ ->
@@ -118,7 +121,6 @@ let ss2_node ctx i acc =
              (Plan.name ctx.plan l))
         :: acc)
     acc
-    snap.Snapshot.node_props.(i)
 
 (* DS4: nodes of the target type need a qualified incoming edge *)
 let ds4_node ctx i acc =
@@ -167,26 +169,23 @@ let ds56_node ctx i acc =
       (fun acc (fc : Plan.field_constraint) ->
         let fi = fc.Plan.fc_info in
         if fi.Plan.fi_attr then begin
-          match Snapshot.find_prop snap.Snapshot.node_props.(i) fc.Plan.fc_field with
-          | None ->
+          let props = snap.Snapshot.node_props in
+          match Props.find props i fc.Plan.fc_field with
+          | -1 ->
             Violation.make Violation.DS5
               (Violation.Node_property (vid, fc.Plan.fc_field_name))
               (Printf.sprintf "node n%d lacks the property %S required on %s.%s" vid
                  fc.Plan.fc_field_name fc.Plan.fc_owner_name fc.Plan.fc_field_name)
             :: acc
-          | Some value ->
-            if fi.Plan.fi_list then begin
-              match value with
-              | Value.List (_ :: _) -> acc
-              | _ ->
-                Violation.make Violation.DS5
-                  (Violation.Node_property (vid, fc.Plan.fc_field_name))
-                  (Printf.sprintf
-                     "property %S of node n%d must be a nonempty list (required list \
-                      attribute)"
-                     fc.Plan.fc_field_name vid)
-                :: acc
-            end
+          | pos ->
+            if fi.Plan.fi_list && not (Props.is_nonempty_list props pos) then
+              Violation.make Violation.DS5
+                (Violation.Node_property (vid, fc.Plan.fc_field_name))
+                (Printf.sprintf
+                   "property %S of node n%d must be a nonempty list (required list \
+                    attribute)"
+                   fc.Plan.fc_field_name vid)
+              :: acc
             else acc
         end
         else begin
@@ -396,17 +395,18 @@ let ds3_node ctx i acc =
 (* WS2: edge properties must be of the required type *)
 let ws2_edge ctx j acc =
   let snap = ctx.snap in
-  let props = snap.Snapshot.edge_props.(j) in
-  if Array.length props = 0 then acc
+  let props = snap.Snapshot.edge_props in
+  if Props.length props j = 0 then acc
   else begin
     let sl = snap.Snapshot.node_label.{snap.Snapshot.edge_src.{j}} in
     match Plan.field ctx.plan sl snap.Snapshot.edge_label.{j} with
     | None -> acc
     | Some fi ->
-      Array.fold_left
-        (fun acc (a, value) ->
+      Props.fold props j
+        (fun a pos acc ->
           match Plan.arg fi a with
           | Some ai ->
+            let value = Props.value props pos in
             if ai.Plan.ai_mem ctx.env value then acc
             else
               Violation.make Violation.WS2
@@ -415,20 +415,20 @@ let ws2_edge ctx j acc =
                    ai.Plan.ai_type_str)
               :: acc
           | None -> acc)
-        acc props
+        acc
   end
 
 (* SS3: all edge properties are justified *)
 let ss3_edge ctx j acc =
   let snap = ctx.snap in
-  let props = snap.Snapshot.edge_props.(j) in
-  if Array.length props = 0 then acc
+  let props = snap.Snapshot.edge_props in
+  if Props.length props j = 0 then acc
   else begin
     let sl = snap.Snapshot.node_label.{snap.Snapshot.edge_src.{j}} in
     let f = snap.Snapshot.edge_label.{j} in
     let field = Plan.field ctx.plan sl f in
-    Array.fold_left
-      (fun acc (a, _) ->
+    Props.fold props j
+      (fun a _ acc ->
         match Option.bind field (fun fi -> Plan.arg fi a) with
         | Some _ -> acc
         | None ->
@@ -437,7 +437,7 @@ let ss3_edge ctx j acc =
             (Printf.sprintf "no argument %S is declared for field %s.%s"
                (Plan.name ctx.plan a) (Plan.name ctx.plan sl) (Plan.name ctx.plan f))
           :: acc)
-      acc props
+      acc
   end
 
 (* WS3: target nodes must be of the required type *)
@@ -481,54 +481,21 @@ let ss4_edge ctx j acc =
 (* ------------------------------------------------------------------ *)
 (* DS7 (@key): one constraint at a time, grouping nodes globally        *)
 
-(* A collision-free serialization of property values, compatible with
-   Value.equal: tagged and length-prefixed (Value.to_string would conflate
-   e.g. Id "x" and String "x"), with floats canonicalized by bit pattern
-   (+0.0 = -0.0, one representative for nan). *)
-let rec add_value_key buf (v : Value.t) =
-  match v with
-  | Value.Int i ->
-    Buffer.add_char buf 'i';
-    Buffer.add_string buf (string_of_int i)
-  | Value.Float f ->
-    Buffer.add_char buf 'f';
-    if Float.is_nan f then Buffer.add_string buf "nan"
-    else Buffer.add_string buf (Int64.to_string (Int64.bits_of_float (f +. 0.0)))
-  | Value.String s ->
-    Buffer.add_char buf 's';
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  | Value.Bool b ->
-    Buffer.add_char buf 'b';
-    Buffer.add_char buf (if b then '1' else '0')
-  | Value.Id s ->
-    Buffer.add_char buf 'd';
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  | Value.Enum s ->
-    Buffer.add_char buf 'e';
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  | Value.List vs ->
-    Buffer.add_char buf 'l';
-    Buffer.add_string buf (string_of_int (List.length vs));
-    Buffer.add_char buf ':';
-    List.iter (add_value_key buf) vs
-
+(* The group key of a node: per key attribute, 'A' when absent or 'P'
+   and the value's canonical bytes ({!Props.add_canonical}: collision-
+   free and compatible with Value.equal), each closed by a NUL. *)
 let ds7_scan ctx (key : Plan.key) groups i =
   let snap = ctx.snap in
   if Plan.is_sub ctx.plan snap.Snapshot.node_label.{i} key.Plan.key_owner then begin
+    let props = snap.Snapshot.node_props in
     let buf = Buffer.create 32 in
     Array.iter
       (fun fsym ->
-        (match Snapshot.find_prop snap.Snapshot.node_props.(i) fsym with
-        | None -> Buffer.add_char buf 'A' (* absent *)
-        | Some value ->
+        (match Props.find props i fsym with
+        | -1 -> Buffer.add_char buf 'A'
+        | pos ->
           Buffer.add_char buf 'P';
-          add_value_key buf value);
+          Props.add_canonical buf props pos);
         Buffer.add_char buf '\x00')
       key.Plan.key_attrs;
     let k = Buffer.contents buf in

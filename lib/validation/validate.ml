@@ -98,20 +98,13 @@ let check_snapshot ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
   report_of_counts ~mode ~engine run violations ~nodes_checked:snap.Pg_graph.Snapshot.n
     ~edges_checked:snap.Pg_graph.Snapshot.m
 
-(* Out-of-core validation: the streaming shard pipeline over a mapped
-   snapshot, one shard's properties resident at a time.  Always the
-   [Sharded] engine; errors are the I/O layer's (a failed property
-   read). *)
-let check_mapped ?(mode = Strong) ?env ?(shards = 1) ?(gov = Governor.unlimited) plan
-    mapped =
-  let run = Governor.start gov in
-  match Shard_stream.check ?env ~gov:run ~shards plan mapped (rules_of mode) with
-  | Error _ as e -> e
-  | Ok violations ->
-    let snap = Pg_graph.Snapshot_io.mapped_snapshot mapped in
-    Ok
-      (report_of_counts ~mode ~engine:Sharded run violations
-         ~nodes_checked:snap.Pg_graph.Snapshot.n ~edges_checked:snap.Pg_graph.Snapshot.m)
+(* Out-of-core validation: the sharded engine, one domain, over a
+   snapshot whose columns and property pools stay mapped from disk.
+   Every I/O error was answered when the file was opened. *)
+let check_mapped ?mode ?env ?(shards = 1) ?gov plan mapped =
+  Ok
+    (check_snapshot ~engine:Sharded ?mode ?env ~domains:1 ~shards ?gov plan
+       (Pg_graph.Snapshot_io.mapped_snapshot mapped))
 
 let check ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
     ?(gov = Governor.unlimited) sch g =

@@ -97,11 +97,13 @@ val check_mapped :
   Pg_schema.Plan.t ->
   Pg_graph.Snapshot_io.mapped ->
   (report, Pg_graph.Snapshot_io.error) result
-(** Out-of-core validation through {!Shard_stream}: the snapshot stays
-    mapped on disk and one shard's property vectors are resident at a
-    time ([shards] defaults to [1] — whole-graph residency).  The engine
-    is always [Sharded]; the report is byte-identical to the in-memory
-    engines'.  Errors are the I/O layer's (a failed property read). *)
+(** Out-of-core validation: the [Sharded] engine on one domain over a
+    snapshot whose columns and property pools stay mapped on disk, so
+    only the pages a shard touches are resident ([shards] defaults to
+    [1]).  The report is byte-identical to the in-memory engines'.  The
+    result type is the I/O layer's, but every I/O error was already
+    answered by {!Pg_graph.Snapshot_io.open_mapped}: this returns
+    [Ok]. *)
 
 val check :
   ?engine:engine ->

@@ -447,17 +447,16 @@ let test_io006_classification () =
       (Fault.plan [ Fault.on Fault.Mmap (Fault.Errno Unix.EIO) ])
       (fun () -> Result.map (fun m -> Sio.close_mapped m) (Sio.open_mapped (st ()) path))
   in
-  check_string "mmap EIO -> IO006" "IO006" (code_of r);
-  check_bool "IO006 names the snapshot" true
-    (String.length (message_of r) > 0
-    &&
-    let m = message_of r in
+  let names_file m =
     let needle = Filename.basename path in
     let rec find i =
       i + String.length needle <= String.length m
       && (String.sub m i (String.length needle) = needle || find (i + 1))
     in
-    find 0);
+    find 0
+  in
+  check_string "mmap EIO -> IO006" "IO006" (code_of r);
+  check_bool "IO006 names the snapshot" true (names_file (message_of r));
   (* open_mapped opens the header channel first (buffered: Sys_error ->
      IO001), then the mmap fd (raw: Unix_error -> IO006) *)
   let open_under rule =
@@ -468,26 +467,18 @@ let test_io006_classification () =
     (code_of (open_under (Fault.on ~trigger:(Fault.Nth 1) Fault.Open (Fault.Errno Unix.EIO))));
   check_string "fd open EIO -> IO006" "IO006"
     (code_of (open_under (Fault.on ~trigger:(Fault.Nth 2) Fault.Open (Fault.Errno Unix.EIO))));
-  (* a device error on a property page read mid-load: the buffered
-     channel surfaces it as Sys_error, classified IO001 with the
-     snapshot path (the IO006 arm covers raw Unix_error readers) *)
-  match Sio.open_mapped (st ()) path with
-  | Error e -> Alcotest.failf "clean open failed: %a" Sio.pp_error e
-  | Ok m ->
-    Fun.protect
-      ~finally:(fun () -> Sio.close_mapped m)
-      (fun () ->
-        let r =
-          Fault.with_plan
-            (Fault.plan [ Fault.on Fault.Read (Fault.Errno Unix.EIO) ])
-            (fun () -> Sio.load_node_props m ~lo:0 ~hi:1)
-        in
-        match r with
-        | Ok () -> Alcotest.fail "faulted page read succeeded"
-        | Error e ->
-          check_string "page-read EIO classified" "IO001" e.Sio.code;
-          check_bool "names the read failure" true
-            (e.Sio.message <> "" && e.Sio.code = "IO001"))
+  (* The property sections are mapped last, node pool then edge pool,
+     after the twelve int columns.  A refused map of either one is
+     IO006 naming the file, like a refused int column. *)
+  let counting = Fault.plan [] in
+  ignore (Fault.with_plan counting (fun () -> Sio.open_mapped (st ()) path));
+  check_int "every section of the fixture is mapped" 14 (Fault.hits counting Fault.Mmap);
+  List.iter
+    (fun (what, nth) ->
+      let r = open_under (Fault.on ~trigger:(Fault.Nth nth) Fault.Mmap (Fault.Errno Unix.EIO)) in
+      check_string (what ^ " mmap EIO -> IO006") "IO006" (code_of r);
+      check_bool (what ^ " IO006 names the snapshot") true (names_file (message_of r)))
+    [ ("node properties", 13); ("edge properties", 14) ]
 
 let test_enospc_is_not_transient () =
   let t = GP.Supervisor.default_transient in

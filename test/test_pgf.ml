@@ -285,15 +285,10 @@ let prop_thaw =
 
 let ints (a : Snapshot.ints) = List.init (Bigarray.Array1.dim a) (fun i -> a.{i})
 
-(* column by column; labels and property keys compared as names *)
+(* column by column, labels compared as names; the property pools have
+   their own differential below *)
 let same_snapshot st1 (a : Snapshot.t) st2 (b : Snapshot.t) =
   let names st col = List.map (Symtab.name st) (ints col) in
-  let props st vecs =
-    Array.to_list (Array.map (fun vec -> Array.to_list (Array.map (fun (k, v) -> (Symtab.name st k, v)) vec)) vecs)
-  in
-  let same_props p q =
-    List.equal (List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && V.equal v1 v2)) p q
-  in
   a.n = b.n && a.m = b.m
   && List.for_all2
        (fun x y -> ints x = ints y)
@@ -301,8 +296,6 @@ let same_snapshot st1 (a : Snapshot.t) st2 (b : Snapshot.t) =
        [ b.node_id; b.edge_id; b.edge_src; b.edge_tgt; b.out_start; b.out_adj; b.in_start; b.in_adj ]
   && names st1 a.node_label = names st2 b.node_label
   && names st1 a.edge_label = names st2 b.edge_label
-  && same_props (props st1 a.node_props) (props st2 b.node_props)
-  && same_props (props st1 a.edge_props) (props st2 b.edge_props)
 
 let prop_columns =
   QCheck2.Test.make ~name:"frozen PGF columns == Snapshot.build of the graph" ~count:200
@@ -312,6 +305,62 @@ let prop_columns =
       | Ok columns ->
         let st1 = Symtab.create () and st2 = Symtab.create () in
         same_snapshot st1 (Snapshot.freeze st1 columns) st2 (Snapshot.build st2 g))
+
+(* The property pools of a snapshot read back exactly [g]'s properties,
+   by name, through every accessor: decoded bindings, [find] of each
+   key, and [length].  Three snapshots of one document must agree with
+   [g]: the frozen columns, the file written from them and loaded into a
+   table that already holds other names, and a copy rebased onto yet
+   another table. *)
+let pools_match g st (snap : Snapshot.t) =
+  let module Props = Graphql_pg.Props in
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) in
+  let matches pool i expected =
+    let got = sorted (List.map (fun (k, v) -> (Symtab.name st k, v)) (Props.bindings pool i)) in
+    Props.length pool i = List.length expected
+    && List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && V.equal v1 v2) got expected
+    && List.for_all
+         (fun (k, v) ->
+           match Symtab.find st k with
+           | Some id ->
+             let pos = Props.find pool i id in
+             pos >= 0 && V.equal (Props.value pool pos) v
+           | None -> false)
+         expected
+  in
+  List.for_all Fun.id
+    (List.mapi (fun i v -> matches snap.node_props i (G.node_props g v)) (G.nodes g))
+  && List.for_all Fun.id
+       (List.mapi (fun j e -> matches snap.edge_props j (G.edge_props g e)) (G.edges g))
+
+let seeded_symtab () =
+  let st = Symtab.create () in
+  List.iter (fun name -> ignore (Symtab.intern st name)) [ "p5"; "zz"; "L3"; "p0"; "aa" ];
+  st
+
+let prop_pools =
+  QCheck2.Test.make ~name:"frozen, loaded and rebased pools read back the graph" ~count:200
+    graph_gen (fun g ->
+      match Pgf.parse_columns (Pgf.print g) with
+      | Error _ -> false
+      | Ok columns ->
+        let st = Symtab.create () in
+        let snap = Snapshot.freeze st columns in
+        let path = Filename.temp_file "gpgs_pools" ".snap" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let loaded_st = seeded_symtab () in
+            let loaded =
+              match Graphql_pg.Snapshot_io.write st snap path with
+              | Error _ -> None
+              | Ok () -> Result.to_option (Graphql_pg.Snapshot_io.load loaded_st path)
+            in
+            let rebased_st = seeded_symtab () in
+            let rebased = Snapshot.rebase ~src:st rebased_st snap in
+            pools_match g st snap
+            && pools_match g rebased_st rebased
+            && match loaded with Some l -> pools_match g loaded_st l | None -> false))
 
 (* Record-level damage: the strict slurp fails exactly at the first line
    the tolerant streaming reader skips, with the same message, and the
@@ -363,5 +412,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_round_trip;
     QCheck_alcotest.to_alcotest prop_thaw;
     QCheck_alcotest.to_alcotest prop_columns;
+    QCheck_alcotest.to_alcotest prop_pools;
     QCheck_alcotest.to_alcotest prop_corrupted_lines;
   ]

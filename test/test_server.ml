@@ -395,8 +395,8 @@ let test_served_snapshot_parity () =
         (run_cli
            (cli_validate_args ~engine ~extra:"--snapshot" ~schema:movies_sdl ~graph:snap_path ())))
     [ "indexed"; "sharded"; "indexed" ];
-  (* the sharded engine maps the file per request (it holds an fd), so
-     the cache hit comes from the repeated indexed run *)
+  (* the sharded engine maps the file afresh per request, so the cache
+     hit comes from the repeated indexed run *)
   check_bool "snapshot cache hits" true ((Service.snapshot_stats svc).Cache.hits >= 1);
   (* naive + snapshot is the CLI's usage error, same code *)
   let served =
@@ -489,6 +489,56 @@ let test_text_graph_rebased_per_plan () =
     [ false; true; false; true ];
   check_int "two plan entries" 2 (Service.plan_stats svc).Cache.size;
   List.iter Sys.remove [ sdl; pgf ]
+
+let test_snapshot_pools_per_plan () =
+  (* One snapshot file, validated through the lenient and the strict
+     entry of one schema.  Each entry maps the file into its own symtab:
+     a cached snapshot's property pool translates the file's key ids
+     into that entry's symbols, so the graph-only names (the :Alien
+     label, the rank and w keys, the nested list value) must render
+     exactly as the one-shot CLI renders them, for both entries, on the
+     first request and on every cache hit after it. *)
+  let svc = service () in
+  let sdl =
+    temp_with
+      "type Person @key(fields: [\"name\", \"score\"]) {\n\
+      \  name: String! @required\n\
+      \  score: Float\n\
+      \  likes(w: Int): [Person]\n\
+       }\n"
+  in
+  let pgf =
+    temp_with
+      "node n0 :Person {name: \"Ripley\", rank: 3, score: -0.0}\n\
+       node n1 :Alien {name: \"Xeno\", tags: [[nan], []]}\n\
+       node n2 :Person {name: \"Ripley\", score: 0.0}\n\
+       edge n0 -> n1 :likes {w: \"one\"}\n\
+       edge n2 -> n0 :hunts {w: 2}\n"
+  in
+  let snap_path = Filename.temp_file "gpgs_snap_pools" ".pgsnap" in
+  let g = match GP.Pgf.load pgf with Ok g -> g | Error _ -> Alcotest.fail "fixture pgf" in
+  let st = GP.Symtab.create () in
+  ignore (GP.Snapshot_io.write st (GP.Snapshot.build st g) snap_path);
+  List.iter
+    (fun lenient ->
+      let served =
+        Service.handle svc
+          (validate_req ?lenient:(if lenient then Some true else None) ~snapshot:true
+             ~schema:sdl ~graph:snap_path ())
+      in
+      check_parity
+        ~what:(if lenient then "lenient entry" else "strict entry")
+        served
+        (run_cli
+           (cli_validate_args
+              ~extra:(if lenient then "--snapshot --lenient" else "--snapshot")
+              ~schema:sdl ~graph:snap_path ())))
+    [ false; true; false; true ];
+  check_int "two plan entries" 2 (Service.plan_stats svc).Cache.size;
+  let s = Service.snapshot_stats svc in
+  check_int "one cached snapshot per entry" 2 s.Cache.size;
+  check_int "the repeats hit the cache" 2 s.Cache.hits;
+  List.iter Sys.remove [ sdl; pgf; snap_path ]
 
 let test_plan_cache_invalidation_end_to_end () =
   let svc = service () in
@@ -806,6 +856,8 @@ let suite =
       test_snapshot_cache_keyed_by_plan_instance;
     Alcotest.test_case "text graphs rebase onto each plan instance" `Quick
       test_text_graph_rebased_per_plan;
+    Alcotest.test_case "snapshot pools translate per plan instance" `Quick
+      test_snapshot_pools_per_plan;
     Alcotest.test_case "plan cache invalidates on schema edit" `Quick
       test_plan_cache_invalidation_end_to_end;
     Alcotest.test_case "served = CLI bytes for the pgschema frontend" `Quick

@@ -8,8 +8,9 @@
      to the indexed engine's across shards in {1, 2, 3, 8} x domains in
      {1, 2, 4}, on uniformly corrupted and decimated social graphs.
    - The out-of-core path: a snapshot written to disk, reopened with
-     [open_mapped] and validated by the streaming pipeline (one shard's
-     properties resident at a time) must produce the same bytes again.
+     [open_mapped] and validated by [check_mapped] (the sharded engine
+     over mapped columns and property pools) must produce the same bytes
+     again.
    - Governed runs: a finite budget yields a partial report whose
      violations are a subset of the full report's; [run_tasks] on a
      stopped governor runs nothing at all.

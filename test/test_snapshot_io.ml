@@ -219,9 +219,26 @@ let test_hostile_counts () =
       | None -> Alcotest.fail "inflated-count snapshot loaded");
       (* negative edge count *)
       write_file path (patch_and_reseal whole ~pos:24 ~value:(-3));
-      match load_err path with
+      (match load_err path with
       | Some e -> check_bool "negative m -> IO004" true (e.Sio.code = "IO004")
-      | None -> Alcotest.fail "negative-count snapshot loaded")
+      | None -> Alcotest.fail "negative-count snapshot loaded");
+      (* Counts and offsets that used to size an allocation before any
+         check: load and info must both answer IO004, not raise. *)
+      let sym_end = Int64.to_int (String.get_int64_le whole (48 + 8)) in
+      List.iter
+        (fun (what, pos, value) ->
+          write_file path (patch_and_reseal whole ~pos ~value);
+          let io004 = function Error e -> e.Sio.code = "IO004" | Ok _ -> false in
+          match (io004 (Sio.load (Symtab.create ()) path), io004 (Sio.info path)) with
+          | loaded, info ->
+            check_bool (what ^ ": load is IO004") true loaded;
+            check_bool (what ^ ": info is IO004") true info
+          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+        [
+          ("symbol count 2^40", 32, 1 lsl 40);
+          ("symbol count 2^58", 32, 1 lsl 58);
+          ("symtab offset above section 1's", 48, sym_end + 8);
+        ])
 
 let test_hostile_csr () =
   social_snapshot_file (fun path ->
