@@ -298,9 +298,13 @@ let props sc =
 
 type inc = { st : Staging.t; handles : Staging.Names.t; sc : scanner }
 
-let inc_create () =
+(* [size], the length of the text to come if known, sizes each property
+   pool at half of it: growing a pool by doubling leaves as much garbage
+   on the major heap as the pool ends up holding, and that churn slows
+   collection for every request of a server. *)
+let inc_create ?size () =
   {
-    st = Staging.create ();
+    st = Staging.create ?prop_bytes:(Option.map (fun n -> n / 2) size) ();
     handles = Staging.Names.create ();
     sc = scanner "" ~pos:0 ~stop:0 ~line:0;
   }
@@ -391,8 +395,8 @@ let inc_line b line s start stop =
   | applied -> Ok applied
   | exception Error e -> Result.Error e
 
-let read_columns source =
-  let b = inc_create () in
+let ingest ?size source =
+  let b = inc_create ?size () in
   match
     Chunked.iter_lines source (fun line s start stop ->
         ignore (record b line s start stop))
@@ -400,7 +404,8 @@ let read_columns source =
   | () -> Ok b.st
   | exception Error e -> Result.Error e
 
-let parse_columns text = read_columns (Chunked.whole text)
+let read_columns source = ingest source
+let parse_columns text = ingest ~size:(String.length text) (Chunked.whole text)
 
 let load_columns path =
   (* streams the file through the record-at-a-time reader; behaviour
@@ -409,7 +414,7 @@ let load_columns path =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> read_columns (Chunked.of_channel ic))
+      (fun () -> ingest ~size:(in_channel_length ic) (Chunked.of_channel ic))
   with
   | exception Sys_error message -> Result.Error { line = 0; message }
   | r -> r

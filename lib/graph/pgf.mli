@@ -66,7 +66,9 @@ type inc
 (** A graph under construction: staging columns plus the document's
     node-handle table. *)
 
-val inc_create : unit -> inc
+val inc_create : ?size:int -> unit -> inc
+(** [size] is the length of the text to come, if known; it only sizes
+    the staging buffers. *)
 
 val inc_line : inc -> int -> string -> int -> int -> (bool, error) result
 (** [inc_line b lineno s start stop] applies the raw input line

@@ -196,14 +196,12 @@ let bindings p i = List.rev (fold p i (fun key pos acc -> (key, value p pos) :: 
 
 (* ---- building ---- *)
 
-(* [b] with room for [len] more bytes after [used], doubling *)
-let reserve b used len =
-  if used + len <= Bytes.length b then b
-  else begin
-    let b' = Bytes.create (max (used + len) (2 * Bytes.length b)) in
-    Bytes.blit b 0 b' 0 used;
-    b'
-  end
+(* [b], whose first [used] bytes are live, grown by doubling to hold
+   [len] more *)
+let grow b used len =
+  let b' = Bytes.create (max (used + len) (2 * Bytes.length b)) in
+  Bytes.blit b 0 b' 0 used;
+  b'
 
 (* [a] with room for index [need], doubling *)
 let room a need =
@@ -238,13 +236,16 @@ let pending () =
     used = 0;
   }
 
+let reserve p len =
+  if p.used + len > Bytes.length p.scratch then p.scratch <- grow p.scratch p.used len
+
 let put_char p c =
-  p.scratch <- reserve p.scratch p.used 1;
+  reserve p 1;
   Bytes.unsafe_set p.scratch p.used c;
   p.used <- p.used + 1
 
 let put_i64 p v =
-  p.scratch <- reserve p.scratch p.used 8;
+  reserve p 8;
   Bytes.set_int64_le p.scratch p.used v;
   p.used <- p.used + 8
 
@@ -253,7 +254,7 @@ let put_int p i = put_i64 p (Int64.of_int i)
 let put_string p tag s =
   put_char p tag;
   put_int p (String.length s);
-  p.scratch <- reserve p.scratch p.used (String.length s);
+  reserve p (String.length s);
   Bytes.blit_string s 0 p.scratch p.used (String.length s);
   p.used <- p.used + String.length s
 
@@ -300,8 +301,13 @@ type builder = {
   mutable b_count : int;
 }
 
-let builder capacity =
-  { b_off = Array.make (max 1 capacity + 1) 0; b_data = Bytes.create 1024; b_len = 0; b_count = 0 }
+let builder ~bytes capacity =
+  {
+    b_off = Array.make (max 1 capacity + 1) 0;
+    b_data = Bytes.create (max 1024 bytes);
+    b_len = 0;
+    b_count = 0;
+  }
 
 let commit b p =
   (* insertion sort of the bindings by key: records are short *)
@@ -322,7 +328,7 @@ let commit b p =
   for x = 0 to p.bound - 1 do
     need := !need + 8 + p.stops.(x) - p.starts.(x)
   done;
-  b.b_data <- reserve b.b_data b.b_len !need;
+  if b.b_len + !need > Bytes.length b.b_data then b.b_data <- grow b.b_data b.b_len !need;
   let d = b.b_data in
   Bytes.set_int64_le d b.b_len (Int64.of_int p.bound);
   let pos = ref (b.b_len + 8) in
@@ -332,7 +338,7 @@ let commit b p =
     Bytes.blit p.scratch p.starts.(x) d (!pos + 8) len;
     pos := !pos + 8 + len
   done;
-  b.b_off <- room b.b_off (b.b_count + 1);
+  if b.b_count + 1 >= Array.length b.b_off then b.b_off <- room b.b_off (b.b_count + 1);
   b.b_len <- !pos;
   b.b_count <- b.b_count + 1;
   b.b_off.(b.b_count) <- !pos;

@@ -31,8 +31,9 @@ type data = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t
-(** A frozen pool.  Immutable, off the OCaml heap but for its
-    translation tables, and safe to share across domains. *)
+(** A frozen pool: its bytes are one pointer-free heap block (a frozen
+    staging buffer) or a mapped file section.  Immutable, and safe to
+    share across domains. *)
 
 val count : t -> int
 (** The number of elements. *)
@@ -95,8 +96,9 @@ val bind : pending -> int -> Value.t -> unit
 type builder
 (** A growable pool, one vector appended per element. *)
 
-val builder : int -> builder
-(** An empty pool with room for the given number of elements. *)
+val builder : bytes:int -> int -> builder
+(** An empty pool with room for the given number of encoded bytes and
+    elements before the first growth. *)
 
 val commit : builder -> pending -> unit
 (** Append the next element's vector: the pending bindings, sorted by

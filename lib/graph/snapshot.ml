@@ -7,10 +7,11 @@
    string hashing, no map lookups — and the whole structure is safe to
    share across domains once [freeze] returns.
 
-   Columns and pools are Bigarray-backed (off-heap): the GC neither
-   scans nor moves them, so large graphs do not inflate major-heap
-   marking, and {!Snapshot_io} persists them verbatim and maps them back
-   from disk without a deserialization pass.
+   The integer columns are Bigarray-backed (off-heap), and a pool's
+   bytes are one pointer-free block (or a mapped file section): the GC
+   never scans either, so large graphs do not inflate major-heap
+   marking, and {!Snapshot_io} persists both verbatim and maps them
+   back from disk without a deserialization pass.
 
    CSR segments are sorted so that the pair rules become run scans:
    - the out segment of a node is sorted by (edge label, target, edge id),

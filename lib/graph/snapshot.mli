@@ -4,11 +4,11 @@
     encoded property pools — the read-only substrate the compiled
     validation kernels run on (see {!Symtab} for the interning contract).
 
-    All integer columns are off-heap [Bigarray] arrays ([ints]), and so
-    are the bytes of the two {!Props} pools: the GC never scans them,
-    they are shared across domains without copying, and a persisted
-    snapshot ({!Snapshot_io}) maps them straight from disk.  A property
-    value is decoded only when a rule reads it.
+    All integer columns are off-heap [Bigarray] arrays ([ints]), and the
+    two {!Props} pools hold pointer-free bytes: the GC never scans
+    either, they are shared across domains without copying, and a
+    persisted snapshot ({!Snapshot_io}) maps them straight from disk.  A
+    property value is decoded only when a rule reads it.
 
     The out segment of node [i] is [out_adj.{out_start.{i}} ..
     out_adj.{out_start.{i+1} - 1}], sorted by (edge label, target index,
@@ -65,11 +65,9 @@ val rebase : src:Symtab.t -> Symtab.t -> t -> t
     order — the writer-id to reader-id translation {!Snapshot_io.load}
     applies to a file.  Label columns are copied and remapped; the
     property pools get a composed translation and share their bytes; the
-    CSR is shared, since a remap keeps equal labels contiguous.  This lets a graph be frozen against a private table and
-    attached to a shared one later, for just the cost of the remap. *)
+    CSR is shared, since a remap keeps equal labels contiguous.  This
+    lets a graph be frozen against a private table and attached to a
+    shared one later, for just the cost of the remap. *)
 
 val remap_labels : (int -> int) -> ints -> ints
 (** A fresh label column with every id mapped. *)
-
-val ints_create : int -> ints
-(** An uninitialized off-heap vector of the given length. *)

@@ -99,20 +99,20 @@ type t = {
   pend : Props.pending;  (** the properties of the record about to be added *)
 }
 
-let create ?(nodes = 64) ?(edges = 64) () =
+let create ?(nodes = 64) ?(edges = 64) ?(prop_bytes = 0) () =
   let nodes = max 1 nodes and edges = max 1 edges in
   {
     syms = Names.create ();
     n = 0;
     node_id = Array.make nodes 0;
     node_label = Array.make nodes 0;
-    node_props = Props.builder nodes;
+    node_props = Props.builder ~bytes:prop_bytes nodes;
     m = 0;
     edge_id = Array.make edges 0;
     edge_label = Array.make edges 0;
     edge_src = Array.make edges 0;
     edge_tgt = Array.make edges 0;
-    edge_props = Props.builder edges;
+    edge_props = Props.builder ~bytes:prop_bytes edges;
     pend = Props.pending ();
   }
 

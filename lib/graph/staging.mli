@@ -64,8 +64,9 @@ type t = private {
     as they are bound, into one {!Props} pool per element kind keyed by
     staging symbol ids. *)
 
-val create : ?nodes:int -> ?edges:int -> unit -> t
-(** An empty staging area, with room for the given counts before the
+val create : ?nodes:int -> ?edges:int -> ?prop_bytes:int -> unit -> t
+(** An empty staging area, with room for the given counts, and for
+    [prop_bytes] encoded property bytes per element kind, before the
     first growth. *)
 
 val node_count : t -> int
@@ -103,8 +104,8 @@ val of_graph : Property_graph.t -> t
 
 val thaw : t -> Property_graph.t
 (** The staged graph as a persistent {!Property_graph}, its property
-    values decoded, nodes and edges numbered by index (so a staged PGF document thaws to exactly the
-    graph its records describe). *)
+    values decoded, nodes and edges numbered by index (so a staged PGF
+    document thaws to exactly the graph its records describe). *)
 
 val pp : Format.formatter -> t -> unit
 (** ["graph with N nodes, M edges"], as {!Property_graph.pp}. *)

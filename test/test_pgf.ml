@@ -308,10 +308,11 @@ let prop_columns =
 
 (* The property pools of a snapshot read back exactly [g]'s properties,
    by name, through every accessor: decoded bindings, [find] of each
-   key, and [length].  Three snapshots of one document must agree with
+   key, and [length].  Four snapshots of one document must agree with
    [g]: the frozen columns, the file written from them and loaded into a
-   table that already holds other names, and a copy rebased onto yet
-   another table. *)
+   table that already holds other names, that loaded snapshot written
+   and loaded again (its mapped pools re-sorted under the new ids), and
+   a copy rebased onto yet another table. *)
 let pools_match g st (snap : Snapshot.t) =
   let module Props = Graphql_pg.Props in
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) in
@@ -350,17 +351,27 @@ let prop_pools =
         Fun.protect
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
-            let loaded_st = seeded_symtab () in
-            let loaded =
+            let through_file st snap =
+              let into = seeded_symtab () in
               match Graphql_pg.Snapshot_io.write st snap path with
               | Error _ -> None
-              | Ok () -> Result.to_option (Graphql_pg.Snapshot_io.load loaded_st path)
+              | Ok () ->
+                Option.map (fun l -> (into, l))
+                  (Result.to_option (Graphql_pg.Snapshot_io.load into path))
             in
             let rebased_st = seeded_symtab () in
             let rebased = Snapshot.rebase ~src:st rebased_st snap in
             pools_match g st snap
             && pools_match g rebased_st rebased
-            && match loaded with Some l -> pools_match g loaded_st l | None -> false))
+            &&
+            match through_file st snap with
+            | None -> false
+            | Some (loaded_st, loaded) -> (
+              pools_match g loaded_st loaded
+              &&
+              match through_file loaded_st loaded with
+              | Some (st2, again) -> pools_match g st2 again
+              | None -> false)))
 
 (* Record-level damage: the strict slurp fails exactly at the first line
    the tolerant streaming reader skips, with the same message, and the

@@ -276,6 +276,12 @@ let bad_props_cases ~nsyms =
     ("string length 2^40", fun b p -> set64 b (p + 34) (1 lsl 40));
     ("vector count one short of its offset entry", fun b p -> set64 b p 2);
     ("list count past the section", fun b p -> set64 b (p + 53) 1000);
+    (* keys must strictly increase within a vector; the writer never
+       breaks this, and the loader no longer sorts *)
+    ( "keys out of order",
+      fun b p ->
+        set64 b (p + 8) 2;
+        set64 b (p + 25) 1 );
   ]
 
 let test_bad_property_bytes () =
