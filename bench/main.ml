@@ -852,6 +852,55 @@ let columnar_ingest () =
     \   text path run; load+build is the thawed graph frozen again)\n"
 
 (* ------------------------------------------------------------------ *)
+(* E23 — snapshot properties as mapped pools: what reopening a
+   snapshot file allocates, and what a loaded snapshot keeps on the GC
+   heap.  Uses only Snapshot_io.write/load, so this function also
+   measures a build whose loader decodes properties onto the heap.    *)
+
+let snapshot_pools () =
+  section "E23: Snapshot_io.load minor words and retained heap words";
+  let persons = if fast then 500 else 5000 in
+  let path = Filename.temp_file "gpgs_e23" ".snap" in
+  let st = GP.Symtab.create () in
+  (match
+     GP.Snapshot_io.write st (GP.Snapshot.build st (GP.Social.generate ~persons ())) path
+   with
+  | Ok () -> ()
+  | Error e -> failwith ("E23: write: " ^ e.GP.Snapshot_io.message));
+  let load () =
+    match GP.Snapshot_io.load (GP.Symtab.create ()) path with
+    | Ok snap -> snap
+    | Error e -> failwith ("E23: load: " ^ e.GP.Snapshot_io.message)
+  in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (load ()));
+  let minor = Gc.minor_words () -. w0 in
+  let ms = time_ms (fun () -> ignore (Sys.opaque_identity (load ()))) in
+  (* live words after a full major, with three loaded snapshots held *)
+  let held = 3 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let kept = List.init held (fun _ -> load ()) in
+  Gc.full_major ();
+  let retained = float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int held in
+  ignore (Sys.opaque_identity kept);
+  let bytes = (Unix.stat path).Unix.st_size in
+  Sys.remove path;
+  record "E23"
+    [
+      ("persons", GP.Json.Int persons);
+      ("snapshot_bytes", GP.Json.Int bytes);
+      ("load_ms", GP.Json.Float ms);
+      ("load_minor_words", GP.Json.Float minor);
+      ("retained_words_per_snapshot", GP.Json.Float retained);
+    ];
+  Printf.printf "  input: %d persons, %.1f MB snapshot file\n" persons
+    (float_of_int bytes /. 1048576.0);
+  Printf.printf "  Snapshot_io.load: %.2f ms, %.0f minor words\n" ms minor;
+  Printf.printf "  heap words retained per loaded snapshot (after Gc.full_major): %.0f\n%!"
+    retained
+
+(* ------------------------------------------------------------------ *)
 (* E7b — per-mode cost breakdown on a fixed workload                    *)
 
 let rule_breakdown () =
@@ -1263,6 +1312,7 @@ let experiments =
     ("E20", serve_storm);
     ("E21", frontend_compile);
     ("E22", columnar_ingest);
+    ("E23", snapshot_pools);
     ("E7b", rule_breakdown);
     ("E8", example_6_1);
     ("E9", sat_reduction_scaling);
