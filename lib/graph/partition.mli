@@ -12,9 +12,7 @@
     Each {!shard} carries zero-copy [Bigarray.Array1.sub] views of the
     snapshot's node columns and of its CSR slice: the views alias the
     snapshot's storage (no bytes are copied), so a worker that touches
-    only its shard's views touches only that shard's pages — which is
-    what lets the sharded engine validate a mapped snapshot without
-    paging in the whole graph at once.
+    only its shard's views touches only that shard's pages.
 
     A shard {e owns} the edges of its out-adjacency slice (every edge
     has exactly one source, so ownership is a partition of the edge

@@ -98,9 +98,8 @@ val check_mapped :
   Pg_graph.Snapshot_io.mapped ->
   (report, Pg_graph.Snapshot_io.error) result
 (** Out-of-core validation: the [Sharded] engine on one domain over a
-    snapshot whose columns and property pools stay mapped on disk, so
-    only the pages a shard touches are resident ([shards] defaults to
-    [1]).  The report is byte-identical to the in-memory engines'.  The
+    snapshot whose columns and property pools stay mapped file pages
+    ([shards] defaults to [1]).  The report is byte-identical to the in-memory engines'.  The
     result type is the I/O layer's, but every I/O error was already
     answered by {!Pg_graph.Snapshot_io.open_mapped}: this returns
     [Ok]. *)
