@@ -40,6 +40,7 @@
 
 open Cmdliner
 module GP = Graphql_pg
+module VR = GP.Validate_request
 
 let exit_input = GP.Diag.Exit.(code Input_error)
 let exit_budget = GP.Diag.Exit.(code Budget)
@@ -74,6 +75,8 @@ let die ~fmt ~command ?(cls = GP.Diag.Exit.Input_error) ~text diags =
   | Json -> emit_json ~command ~cls diags);
   exit (GP.Diag.Exit.code cls)
 
+let usage ~fmt ~command msg = die ~fmt ~command ~text:msg [ GP.Diag.error ~code:"CLI001" msg ]
+
 (* The schema language defaults to the file extension (.pgs = PG-Schema,
    anything else SDL); --schema-lang overrides. *)
 let load_schema ?lang ~lenient path =
@@ -90,7 +93,7 @@ let pgf_error path e =
    query, repair, export)... *)
 let load_graph path = match GP.Pgf.load path with Ok g -> Ok g | Error e -> pgf_error path e
 
-(* ...and as staged columns for everything that freezes it. *)
+(* ...and as staged columns for a snapshot build. *)
 let load_columns path =
   match GP.Pgf.load_columns path with Ok s -> Ok s | Error e -> pgf_error path e
 
@@ -102,33 +105,17 @@ let load_graph_streaming ?quarantine ?max_input_errors path =
   | Ok o -> Ok (o, GP.Diag_report.ingest_diagnostics ~file:path o)
   | Error e -> pgf_error path e
 
-(* The check of an ingested PGF graph: the naive oracle reads the thawed
-   graph, every compiled engine the columns frozen against the plan. *)
-let check_columns ~engine ~mode ?domains ?shards ~gov plan columns =
-  if engine = GP.Validate.Naive then
-    let g = GP.Staging.thaw columns in
-    fun () -> GP.Validate.check_compiled ~engine ~mode ?domains ?shards ~gov plan g
-  else
-    let snap = GP.Snapshot.freeze (GP.Plan.symtab plan) columns in
-    fun () -> GP.Validate.check_snapshot ~engine ~mode ?domains ?shards ~gov plan snap
+(* The schema compiled into a plan this process owns (see
+   Validate_request.local): validate and batch hand it to the pipeline. *)
+let local_plan ?lang ~lenient path () =
+  Result.map (fun (sch, _) -> VR.local (GP.Validate.compile sch)) (load_schema ?lang ~lenient path)
 
-(* Binary snapshot input (--snapshot / gpgs snapshot): IO004/IO005
-   failures (bad magic, version, layout, checksum) carry their stable
-   code straight from Snapshot_io. *)
-let load_snapshot st path =
-  match GP.Snapshot_io.load st path with
-  | Ok snap -> Ok snap
-  | Error e ->
-    Error (path, [ GP.Diag.error ~code:e.GP.Snapshot_io.code e.GP.Snapshot_io.message ])
+let unreadable_text path diags =
+  Printf.sprintf "%s: %s" path (String.concat "\n" (List.map GP.Diag.to_text diags))
 
 let or_die ~fmt ~command = function
   | Ok x -> x
-  | Error (path, diags) ->
-    let text =
-      Printf.sprintf "%s: %s" path
-        (String.concat "\n" (List.map GP.Diag.to_text diags))
-    in
-    die ~fmt ~command ~text diags
+  | Error (path, diags) -> die ~fmt ~command ~text:(unreadable_text path diags) diags
 
 (* ---- common arguments ---- *)
 
@@ -284,6 +271,7 @@ let parse_cmd =
 
 let check_cmd =
   let run schema_path lang lenient deadline_ms fmt =
+    Option.iter (usage ~fmt ~command:"check") (VR.budget_usage ?deadline_ms ());
     let sch, warnings = or_die ~fmt ~command:"check" (load_schema ?lang ~lenient schema_path) in
     let issues = GP.Consistency.check sch in
     let gov = governor ?deadline_ms () in
@@ -336,20 +324,6 @@ let mode_conv =
       ("directives", GP.Validate.Directives);
     ]
 
-(* --domains 0 used to be clamped to 1 deep in the parallel engine; a
-   nonsensical count is a usage error and gets a CLI001 up front, same
-   as every other bad flag value.  --shards only means something to the
-   sharded engine. *)
-let check_counts ~usage ~engine ~domains ~shards =
-  (match domains with
-  | Some d when d < 1 -> usage (Printf.sprintf "--domains must be at least 1 (got %d)" d)
-  | _ -> ());
-  (match shards with
-  | Some s when s < 1 -> usage (Printf.sprintf "--shards must be at least 1 (got %d)" s)
-  | _ -> ());
-  if shards <> None && engine <> GP.Validate.Sharded then
-    usage "--shards applies to --engine sharded only"
-
 let shards_arg =
   Arg.(
     value
@@ -357,222 +331,77 @@ let shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Shard count for the sharded engine (default: the domain count).  With \
-           $(b,--snapshot) the sharded engine streams the file one shard at a time, so \
-           peak property memory is bounded by the largest shard plus the cross-shard \
-           frontier.")
+           $(b,--snapshot) the file is mapped and verified once, and each shard then \
+           touches only its own pages of it.")
 
+let engine_arg =
+  Arg.(
+    value
+    & opt engine_conv GP.Validate.Indexed
+    & info [ "engine" ] ~doc:"naive, linear, indexed, parallel, or sharded.")
+
+let mode_arg =
+  Arg.(value & opt mode_conv GP.Validate.Strong & info [ "mode" ] ~doc:"strong, weak, or directives.")
+
+let domains_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "domains" ] ~docv:"N"
+        ~doc:
+          "Domains for the parallel and sharded engines (default: all cores; a sharded \
+           check of a $(b,--snapshot) runs on one domain unless given).")
+
+(* One validate pipeline (Validate_request) behind this command, every
+   batch job and the served validate op: this adapter only renders its
+   outcome. *)
 let validate_cmd =
   let run schema_path lang graph_path lenient engine mode domains shards deadline_ms
       max_violations stream quarantine max_input_errors retries snapshot fmt =
-    let usage msg =
-      die ~fmt ~command:"validate" ~text:msg [ GP.Diag.error ~code:"CLI001" msg ]
+    let request =
+      { VR.snapshot; engine; mode; domains; shards; stream; quarantine; max_input_errors;
+        deadline_ms; max_violations; retries }
     in
-    check_counts ~usage ~engine ~domains ~shards;
-    let sch, _ = or_die ~fmt ~command:"validate" (load_schema ?lang ~lenient schema_path) in
-    let gov = governor ?deadline_ms ?max_violations () in
-    let check, ingest_diags, ingest_summary =
-      if snapshot then begin
-        if stream || quarantine <> None || max_input_errors <> None then
-          usage
-            "--snapshot input is already frozen; the streaming ingestion flags apply to \
-             PGF text only";
-        if engine = GP.Validate.Naive then
-          usage
-            "--engine naive validates the source graph text; use linear, indexed, \
-             parallel, or sharded with --snapshot";
-        let plan = GP.Validate.compile sch in
-        if engine = GP.Validate.Sharded then begin
-          (* the out-of-core path: columns and property pools stay
-             mapped, and each shard touches only its own pages *)
-          let md =
-            match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) graph_path with
-            | Ok md -> md
-            | Error e ->
-              die ~fmt ~command:"validate"
-                ~text:(graph_path ^ ": " ^ e.GP.Snapshot_io.code ^ ": " ^ e.GP.Snapshot_io.message)
-                [ GP.Diag.error ~code:e.GP.Snapshot_io.code e.GP.Snapshot_io.message ]
-          in
-          ( (fun () ->
-              match GP.Validate.check_mapped ~mode ?shards ~gov plan md with
-              | Ok report -> report
-              | Error e ->
-                die ~fmt ~command:"validate"
-                  ~text:(graph_path ^ ": " ^ e.GP.Snapshot_io.code ^ ": " ^ e.GP.Snapshot_io.message)
-                  [ GP.Diag.error ~code:e.GP.Snapshot_io.code e.GP.Snapshot_io.message ]),
-            [], [] )
-        end
-        else
-          let snap =
-            or_die ~fmt ~command:"validate" (load_snapshot (GP.Plan.symtab plan) graph_path)
-          in
-          ( (fun () -> GP.Validate.check_snapshot ~engine ~mode ?domains ~gov plan snap),
-            [], [] )
-      end
-      else begin
-        let streaming = stream || quarantine <> None || max_input_errors <> None in
-        let columns, ingest_diags, ingest_summary =
-          if streaming then begin
-            let outcome, diags =
-              or_die ~fmt ~command:"validate"
-                (load_graph_streaming ?quarantine ?max_input_errors graph_path)
-            in
-            (outcome.GP.Stream.graph, diags, GP.Diag_report.ingest_summary outcome)
-          end
-          else (or_die ~fmt ~command:"validate" (load_columns graph_path), [], [])
-        in
-        ( check_columns ~engine ~mode ?domains ?shards ~gov (GP.Validate.compile sch) columns,
-          ingest_diags,
-          ingest_summary )
-      end
-    in
-    let outcome =
-      if retries = 0 then GP.Supervisor.Done (check (), 1)
-      else GP.Supervisor.supervise ~policy:(GP.Supervisor.policy ~retries ()) check
-    in
-    match outcome with
-    | GP.Supervisor.Done (report, _) ->
-      (match fmt with
-      | Text ->
-        List.iter (fun d -> prerr_endline (GP.Diag.to_text d)) ingest_diags;
-        Format.printf "%a@." GP.Validate.pp_report report
-      | Json -> ());
-      finish ~fmt ~command:"validate"
-        ~summary:(GP.Diag_report.validate_summary report @ ingest_summary)
-        (ingest_diags @ GP.Validate.diagnostics report)
-    | GP.Supervisor.Crashed crash ->
-      let crash_diag = GP.Supervisor.crash_diagnostic ~subject:graph_path crash in
-      let diags = ingest_diags @ [ crash_diag ] in
-      (match fmt with
-      | Text -> List.iter (fun d -> prerr_endline (GP.Diag.to_text d)) diags
-      | Json -> ());
-      finish ~fmt ~command:"validate" ~summary:ingest_summary diags
+    let outcome = VR.run ~plan:(local_plan ?lang ~lenient schema_path) request graph_path in
+    let diags = VR.diagnostics outcome in
+    (match (fmt, outcome) with
+    | Json, _ -> ()
+    | Text, VR.Usage msg -> prerr_endline msg
+    | Text, VR.Unreadable (path, _) -> prerr_endline (unreadable_text path diags)
+    | Text, VR.Done { report; ingest; _ } ->
+      List.iter (fun d -> prerr_endline (GP.Diag.to_text d)) ingest.VR.ingest_diags;
+      Format.printf "%a@." GP.Validate.pp_report report
+    | Text, VR.Crashed _ -> List.iter (fun d -> prerr_endline (GP.Diag.to_text d)) diags);
+    finish ~fmt ~command:"validate" ~summary:(VR.summary outcome) ?cls:(VR.cls outcome) diags
   in
   let graph_arg =
     Arg.(
       required & pos 1 (some file) None
       & info [] ~docv:"GRAPH" ~doc:"PGF graph file (or a binary snapshot with $(b,--snapshot)).")
   in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv GP.Validate.Indexed
-      & info [ "engine" ] ~doc:"naive, linear, indexed, parallel, or sharded.")
-  in
-  let mode =
-    Arg.(value & opt mode_conv GP.Validate.Strong & info [ "mode" ] ~doc:"strong, weak, or directives.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Domains for the parallel and sharded engines (default: all cores).")
-  in
   Cmd.v
     (Cmd.info "validate" ~doc:"Validate a Property Graph against a schema (Section 5).")
     Term.(
-      const run $ schema_arg $ lang_arg $ graph_arg $ lenient_arg $ engine $ mode $ domains
-      $ shards_arg $ deadline_arg $ max_violations_arg $ stream_arg $ quarantine_arg
-      $ max_input_errors_arg $ retries_arg $ snapshot_arg $ format_arg)
+      const run $ schema_arg $ lang_arg $ graph_arg $ lenient_arg $ engine_arg $ mode_arg
+      $ domains_arg $ shards_arg $ deadline_arg $ max_violations_arg $ stream_arg
+      $ quarantine_arg $ max_input_errors_arg $ retries_arg $ snapshot_arg $ format_arg)
 
 (* ---- batch ---- *)
 
 let batch_cmd =
   let run schema_path lang graph_paths lenient engine mode domains shards deadline_ms
       max_violations stream max_input_errors retries snapshot fmt =
-    let usage msg = die ~fmt ~command:"batch" ~text:msg [ GP.Diag.error ~code:"CLI001" msg ] in
-    check_counts ~usage ~engine ~domains ~shards;
-    if snapshot && (stream || max_input_errors <> None) then
-      usage
-        "--snapshot input is already frozen; the streaming ingestion flags apply to PGF \
-         text only";
-    if snapshot && engine = GP.Validate.Naive then
-      usage
-        "--engine naive validates the source graph text; use linear, indexed, parallel, \
-         or sharded with --snapshot";
-    let sch, _ = or_die ~fmt ~command:"batch" (load_schema ?lang ~lenient schema_path) in
+    let request =
+      { VR.snapshot; engine; mode; domains; shards; stream; quarantine = None;
+        max_input_errors; deadline_ms; max_violations; retries }
+    in
+    Option.iter (usage ~fmt ~command:"batch") (VR.usage request);
     (* one compiled plan for the whole batch; jobs run sequentially (plan
        reuse is sequential-only — within a job the parallel engine may
-       still shard across domains) *)
-    let plan = GP.Validate.compile sch in
-    let policy = GP.Supervisor.policy ~retries () in
-    let streaming = stream || max_input_errors <> None in
-    let finish_job path ingest_diags ingest_complete check =
-      (* a fresh budget per job: the deadline is relative to the run's
-         start, so each job gets the full allowance *)
-      match GP.Supervisor.supervise ~policy check with
-      | GP.Supervisor.Done (report, attempts) ->
-        let status =
-          if report.GP.Validate.complete && ingest_complete then GP.Supervisor.Completed
-          else GP.Supervisor.Partial
-        in
-        {
-          GP.Supervisor.job = path;
-          job_status = status;
-          attempts;
-          diags = ingest_diags @ GP.Validate.diagnostics report;
-        }
-      | GP.Supervisor.Crashed crash ->
-        {
-          GP.Supervisor.job = path;
-          job_status = GP.Supervisor.Crashed_job;
-          attempts = crash.GP.Supervisor.crash_attempts;
-          diags = ingest_diags @ [ GP.Supervisor.crash_diagnostic ~subject:path crash ];
-        }
-    in
-    let unreadable path diags =
-      { GP.Supervisor.job = path; job_status = GP.Supervisor.Unreadable; attempts = 0; diags }
-    in
-    let diag_of_io (e : GP.Snapshot_io.error) = GP.Diag.error ~code:e.code e.message in
-    let run_job path =
-      if snapshot && engine = GP.Validate.Sharded then
-        (* out-of-core per job: columns and property pools stay
-           mapped, and each shard touches only its own pages *)
-        match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) path with
-        | Error e -> unreadable path [ diag_of_io e ]
-        | Ok md ->
-          let gov = governor ?deadline_ms ?max_violations () in
-          let result = GP.Validate.check_mapped ~mode ?shards ~gov plan md in
-          GP.Snapshot_io.close_mapped md;
-          (match result with
-          | Error e -> unreadable path [ diag_of_io e ]
-          | Ok report ->
-            let status =
-              if report.GP.Validate.complete then GP.Supervisor.Completed
-              else GP.Supervisor.Partial
-            in
-            {
-              GP.Supervisor.job = path;
-              job_status = status;
-              attempts = 1;
-              diags = GP.Validate.diagnostics report;
-            })
-      else if snapshot then
-        match load_snapshot (GP.Plan.symtab plan) path with
-        | Error (_, diags) -> unreadable path diags
-        | Ok snap ->
-          let gov = governor ?deadline_ms ?max_violations () in
-          finish_job path [] true (fun () ->
-              GP.Validate.check_snapshot ~engine ~mode ?domains ~gov plan snap)
-      else
-        let ingested =
-          if streaming then
-            match load_graph_streaming ?max_input_errors path with
-            | Ok (o, diags) -> Ok (o.GP.Stream.graph, diags, o.GP.Stream.complete)
-            | Error (_, diags) -> Error diags
-          else
-            match load_columns path with
-            | Ok columns -> Ok (columns, [], true)
-            | Error (_, diags) -> Error diags
-        in
-        match ingested with
-        | Error diags -> unreadable path diags
-        | Ok (columns, ingest_diags, ingest_complete) ->
-          let gov = governor ?deadline_ms ?max_violations () in
-          finish_job path ingest_diags ingest_complete
-            (check_columns ~engine ~mode ?domains ?shards ~gov plan columns)
-    in
-    let batch = GP.Supervisor.make_batch (List.map run_job graph_paths) in
+       still shard across domains), each under a fresh budget *)
+    let plan = or_die ~fmt ~command:"batch" (local_plan ?lang ~lenient schema_path ()) in
+    let job path = VR.job_report path (VR.run ~plan:(fun () -> Ok plan) request path) in
+    let batch = GP.Supervisor.make_batch (List.map job graph_paths) in
     let diags = GP.Supervisor.batch_diagnostics batch in
     (match fmt with
     | Text ->
@@ -593,22 +422,6 @@ let batch_cmd =
       & pos_right 0 file []
       & info [] ~docv:"GRAPH" ~doc:"PGF graph files (one validation job each).")
   in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv GP.Validate.Indexed
-      & info [ "engine" ] ~doc:"naive, linear, indexed, parallel, or sharded.")
-  in
-  let mode =
-    Arg.(value & opt mode_conv GP.Validate.Strong & info [ "mode" ] ~doc:"strong, weak, or directives.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Domains for the parallel and sharded engines (default: all cores).")
-  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
@@ -617,14 +430,15 @@ let batch_cmd =
           that job only; the run continues and one report covers every job, with the \
           exit code composed from all diagnostics (Input > Budget > Findings > Clean).")
     Term.(
-      const run $ schema_arg $ lang_arg $ graphs_arg $ lenient_arg $ engine $ mode $ domains
-      $ shards_arg $ deadline_arg $ max_violations_arg $ stream_arg $ max_input_errors_arg
-      $ retries_arg $ snapshot_arg $ format_arg)
+      const run $ schema_arg $ lang_arg $ graphs_arg $ lenient_arg $ engine_arg $ mode_arg
+      $ domains_arg $ shards_arg $ deadline_arg $ max_violations_arg $ stream_arg
+      $ max_input_errors_arg $ retries_arg $ snapshot_arg $ format_arg)
 
 (* ---- sat ---- *)
 
 let sat_cmd =
   let run schema_path type_name lenient witness_out deadline_ms fmt =
+    Option.iter (usage ~fmt ~command:"sat") (VR.budget_usage ?deadline_ms ());
     let sch, _ = or_die ~fmt ~command:"sat" (load_schema ~lenient schema_path) in
     let gov = governor ?deadline_ms () in
     let report = GP.Satisfiability.check ~gov sch type_name in
@@ -804,7 +618,7 @@ let query_cmd =
   let run schema_path graph_path lenient query_text query_file operation variables fmt =
     let sch, _ = or_die ~fmt ~command:"query" (load_schema ~lenient schema_path) in
     let g = or_die ~fmt ~command:"query" (load_graph graph_path) in
-    let usage msg = die ~fmt ~command:"query" ~text:msg [ GP.Diag.error ~code:"CLI001" msg ] in
+    let usage = usage ~fmt ~command:"query" in
     let text =
       match query_text, query_file with
       | Some q, _ -> q
@@ -1006,7 +820,7 @@ let serve_cmd =
       usage (Printf.sprintf "--drain-grace-ms must be non-negative (got %g)" drain_grace_ms);
     if watchdog_grace_ms < 0. then
       usage (Printf.sprintf "--watchdog-grace-ms must be non-negative (got %g)" watchdog_grace_ms);
-    if retries < 0 then usage (Printf.sprintf "--retries must be non-negative (got %d)" retries);
+    Option.iter usage (VR.budget_usage ?deadline_ms ?max_violations ~retries ());
     let service =
       Pg_server.Service.create
         ~config:

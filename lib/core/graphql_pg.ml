@@ -32,7 +32,9 @@
       the per-rule {!Indexed}, the multicore {!Parallel} — the latter
       three consume one compiled plan — and the update-driven
       {!Incremental}, with {!Governor} budgets and the {!Supervisor} job
-      runner) (the validation semantics of Section 5),
+      runner) (the validation semantics of Section 5), and
+      {!Validate_request}, the one validate pipeline behind [gpgs
+      validate], [gpgs batch] and the server,
     - {!Cnf}, {!Dpll}, {!Alcqi}, {!Tableau}, {!Translate}, {!Counting},
       {!Model_search}, {!Reduction}, {!Satisfiability} (the satisfiability
       analysis of Section 6),
@@ -47,6 +49,7 @@
 module Diag = Pg_diag.Diag
 module Diag_registry = Pg_diag.Registry
 module Diag_report = Diag_report
+module Validate_request = Validate_request
 
 module Sdl = struct
   module Source = Pg_sdl.Source

@@ -77,11 +77,12 @@ val info : string -> (info, error) result
 (** Header summary of a snapshot file, after the same magic / version /
     size / checksum verification as {!load}. *)
 
-(** {2 Out-of-core access} *)
+(** {2 Mapped handles} *)
 
 type mapped
 (** A verified, fully mapped snapshot: the same thing {!load} returns,
-    under the name the sharded out-of-core path uses. *)
+    as a handle.  It remains only for the benchmark replay; every
+    validate path loads snapshots with {!load}. *)
 
 val open_mapped : Symtab.t -> string -> (mapped, error) result
 (** {!load}, as a handle. *)

@@ -1,16 +1,15 @@
 (* Request execution (see service.mli for the contract).
 
-   The validate path below is a line-for-line mirror of the validate
-   subcommand in bin/gpgs.ml: same usage checks with the same CLI001
-   messages, same load order, same envelope fields — the byte-parity
-   tests in test_server.ml compare served responses against actual CLI
-   runs, so any divergence here is a test failure, not a judgement
-   call.  Where the CLI calls [die] (which exits), this module builds
-   the same envelope the CLI's json mode would have printed and keeps
-   going. *)
+   The validate op is an adapter over Graphql_pg.Validate_request, the
+   pipeline `gpgs validate` and `gpgs batch` run too: it lends the
+   pipeline a cached plan (under its entry's lock, with the snapshot
+   cache and a freeze outside the lock), registers budgeted jobs with
+   the watchdog, and renders the outcome — adding only what the CLI has
+   no counterpart for: SRV003, SRV005 and SRV006. *)
 
 module GP = Graphql_pg
 module Json = GP.Json
+module VR = GP.Validate_request
 
 type config = {
   plan_capacity : int;
@@ -180,32 +179,6 @@ let crash_response t ~command ~subject (crash : GP.Supervisor.crash) =
 
 (* ---- validate ---- *)
 
-exception Reply of string
-(* Internal short-circuit standing in for the CLI's [die]: carry the
-   finished response out of the deep end of the validate pipeline. *)
-
-let reply_error ~code ?subject ?cls message =
-  raise (Reply (srv_error ~command:"validate" ~code ?subject ?cls message))
-
-(* The CLI's [die] defaults to Input_error even when the diagnostics
-   (e.g. consistency findings) would classify lower, so the explicit
-   class here is part of the parity contract. *)
-let reply_diags diags =
-  raise (Reply (render_envelope ~command:"validate" ~cls:GP.Diag.Exit.Input_error diags))
-
-let usage msg = reply_error ~code:"CLI001" ~cls:GP.Diag.Exit.Input_error msg
-
-(* Mirror of check_counts in bin/gpgs.ml, CLI001 messages included. *)
-let check_counts ~engine ~domains ~shards =
-  (match domains with
-  | Some d when d < 1 -> usage (Printf.sprintf "--domains must be at least 1 (got %d)" d)
-  | _ -> ());
-  (match shards with
-  | Some s when s < 1 -> usage (Printf.sprintf "--shards must be at least 1 (got %d)" s)
-  | _ -> ());
-  if shards <> None && engine <> GP.Validate.Sharded then
-    usage "--shards applies to --engine sharded only"
-
 (* One cached compiled plan per (frontend, schema path, leniency).  The
    frontend and the leniency flag both change what parse_full accepts,
    so they are part of the key; the file content digest handles edits to
@@ -240,30 +213,42 @@ let snapshot_entry t ~plan_uid ~symtab path =
     | Ok snap -> Ok snap
     | Error e -> Error [ GP.Diag.error ~code:e.GP.Snapshot_io.code e.GP.Snapshot_io.message ])
 
-(* A text graph as its engine reads it: the naive oracle a persistent
-   graph, the compiled engines a snapshot frozen against a private
-   symbol table. *)
-type text_graph = Thawed of GP.Property_graph.t | Frozen of GP.Symtab.t * GP.Snapshot.t
+let io001 path msg = [ GP.Diag.error ~code:"IO001" (path ^ ": " ^ msg) ]
+
+(* A cached plan as the pipeline borrows it.  Plan use is
+   sequential-only (loading or rebasing a snapshot interns labels into
+   its symtab), so those steps and the check run under the entry's lock.
+   Ingesting and freezing text need no plan: the freeze runs outside the
+   lock against a symbol table private to the request, and only the
+   rebase onto the plan's runs under it.  Every snapshot, whatever the
+   engine, comes from the snapshot cache.  An unreadable schema file
+   has no CLI envelope to match (cmdliner rejects the path before the
+   subcommand runs); IO001 is the natural code for it. *)
+let held t ?lang ~lenient path () =
+  match plan_entry t ?lang ~lenient path with
+  | Error msg -> Error (path, io001 path msg)
+  | Ok { Cache.value = Error diags; _ } -> Error (path, diags)
+  | Ok ({ Cache.value = Ok plan; _ } as slot) ->
+    let symtab = GP.Plan.symtab plan in
+    Ok
+      {
+        VR.plan;
+        exclusive = (fun f -> Mutex.protect slot.Cache.lock f);
+        freeze =
+          (fun columns ->
+            let own = GP.Symtab.create () in
+            let snap = GP.Snapshot.freeze own columns in
+            fun () -> GP.Snapshot.rebase ~src:own symtab snap);
+        snapshot =
+          (fun graph ->
+            match snapshot_entry t ~plan_uid:slot.Cache.uid ~symtab graph with
+            | Ok { Cache.value; _ } -> value
+            | Error msg -> Error (io001 graph msg));
+      }
 
 let run_validate t ~cancel (r : Protocol.validate_req) =
-  let engine = r.engine and mode = r.mode in
-  check_counts ~engine ~domains:r.domains ~shards:r.shards;
-  (* Plan lookup / compile.  An unreadable schema file is the one spot
-     with no CLI envelope to mirror (cmdliner rejects the path before
-     the subcommand runs); IO001 is the natural code for it. *)
-  let plan_slot =
-    match plan_entry t ?lang:r.schema_lang ~lenient:r.lenient r.schema with
-    | Ok slot -> slot
-    | Error msg -> reply_error ~code:"IO001" ~cls:GP.Diag.Exit.Input_error (r.schema ^ ": " ^ msg)
-  in
-  let plan =
-    match plan_slot.Cache.value with Ok plan -> plan | Error diags -> reply_diags diags
-  in
   (* Budget: the request's own flags win; the server defaults fill in
-     for absent ones.  An unbudgeted request runs under the inert
-     governor — attaching even just the drain [cancel] flag would
-     switch the report's scan counters to the budgeted accounting and
-     break byte-parity with the unbudgeted CLI. *)
+     for absent ones. *)
   let deadline_ms, imposed_deadline =
     match (r.deadline_ms, t.cfg.default_deadline_ms) with
     | (Some _ as d), _ -> (d, false)
@@ -273,128 +258,60 @@ let run_validate t ~cancel (r : Protocol.validate_req) =
   let max_violations =
     match r.max_violations with Some _ as m -> m | None -> t.cfg.default_max_violations
   in
-  (* Budgeted requests get a private cancellation flag (never the
-     server's shared drain flag: the watchdog cancels one wedged job by
-     [Governor.cancel], and on a shared flag that would cancel every
-     in-flight request).  The drain reaches budgeted jobs through the
-     job registry instead — see [with_job] / [cancel_inflight]. *)
-  let budgeted = deadline_ms <> None || max_violations <> None in
-  let gov =
-    if budgeted then
-      GP.Governor.make ?deadline_ms ?max_violations ~cancel:(Atomic.make false) ()
-    else GP.Governor.make ()
+  let request =
+    {
+      VR.snapshot = r.snapshot;
+      engine = r.engine;
+      mode = r.mode;
+      domains = r.domains;
+      shards = r.shards;
+      stream = false;
+      quarantine = None;
+      max_input_errors = None;
+      deadline_ms;
+      max_violations;
+      retries = max 0 t.cfg.retries;
+    }
   in
-  (* Ingesting the graph text is plan-independent, so it runs outside
-     the plan entry's lock, and so does the freeze: against a private
-     symbol table that belongs to this request alone.  Under the lock the
-     snapshot is only rebased onto the plan's symtab (plan reuse is
-     sequential-only: rebasing interns labels into it).  The naive
-     engine reads the thawed graph instead. *)
-  let graph =
-    if r.snapshot then None
-    else
-      match GP.Pgf.load_columns r.graph with
-      | Error e ->
-        reply_diags [ GP.Diag.error ~code:"IO001" (Format.asprintf "%a" GP.Pgf.pp_error e) ]
-      | Ok columns when engine = GP.Validate.Naive -> Some (Thawed (GP.Staging.thaw columns))
-      | Ok columns ->
-        let own = GP.Symtab.create () in
-        Some (Frozen (own, GP.Snapshot.freeze own columns))
+  (* Budgeted jobs register with the watchdog and the drain, which
+     cancel them through the governor's private flag; an unbudgeted one
+     runs under the inert governor and cannot be cancelled. *)
+  let wedged = ref false in
+  let guard gov supervised =
+    if GP.Governor.is_unlimited gov then supervised ()
+    else begin
+      let outcome, w = with_job t ~drain:cancel ~deadline_ms ~gov supervised in
+      wedged := w;
+      outcome
+    end
   in
-  Mutex.protect plan_slot.Cache.lock (fun () ->
-    let check =
-      if r.snapshot then begin
-        if engine = GP.Validate.Naive then
-          usage
-            "--engine naive validates the source graph text; use linear, indexed, \
-             parallel, or sharded with --snapshot";
-        if engine = GP.Validate.Sharded then
-          (* Out-of-core: the file is mapped afresh per attempt
-             (retry-safe) rather than taken from the snapshot cache, as
-             the one-shot CLI maps it. *)
-          fun () ->
-            let md =
-              match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) r.graph with
-              | Ok md -> md
-              | Error e ->
-                reply_error ~code:e.GP.Snapshot_io.code ~cls:GP.Diag.Exit.Input_error
-                  e.GP.Snapshot_io.message
-            in
-            Fun.protect
-              ~finally:(fun () -> GP.Snapshot_io.close_mapped md)
-              (fun () ->
-                match GP.Validate.check_mapped ~mode ?shards:r.shards ~gov plan md with
-                | Ok report -> report
-                | Error e ->
-                  reply_error ~code:e.GP.Snapshot_io.code ~cls:GP.Diag.Exit.Input_error
-                    e.GP.Snapshot_io.message)
-        else begin
-          let snap =
-            match
-              snapshot_entry t ~plan_uid:plan_slot.Cache.uid ~symtab:(GP.Plan.symtab plan)
-                r.graph
-            with
-            | Ok { Cache.value = Ok snap; _ } -> snap
-            | Ok { Cache.value = Error diags; _ } -> reply_diags diags
-            | Error msg ->
-              reply_error ~code:"IO001" ~cls:GP.Diag.Exit.Input_error (r.graph ^ ": " ^ msg)
-          in
-          fun () -> GP.Validate.check_snapshot ~engine ~mode ?domains:r.domains ~gov plan snap
-        end
-      end
-      else
-        match Option.get graph with
-        | Thawed g ->
-          fun () ->
-            GP.Validate.check_compiled ~engine ~mode ?domains:r.domains ?shards:r.shards ~gov plan
-              g
-        | Frozen (own, snap) ->
-          let snap = GP.Snapshot.rebase ~src:own (GP.Plan.symtab plan) snap in
-          fun () ->
-            GP.Validate.check_snapshot ~engine ~mode ?domains:r.domains ?shards:r.shards ~gov
-              plan snap
+  let server_diag code fmt =
+    Printf.ksprintf
+      (fun msg -> [ GP.Diag.error ~code ~subject:r.graph (r.graph ^ ": " ^ msg) ])
+      fmt
+  in
+  let plan = held t ?lang:r.schema_lang ~lenient:r.lenient r.schema in
+  match VR.run ~guard ~plan request r.graph with
+  | VR.Crashed { crash; graph; _ } -> crash_response t ~command:"validate" ~subject:graph crash
+  | outcome ->
+    let complete =
+      match outcome with VR.Done { report; _ } -> report.GP.Validate.complete | _ -> true
     in
-    (* [Reply] must tunnel through the supervisor (it is the finished
-       response, not a crash), so the job wraps it into a result. *)
-    let job () = try Ok (check ()) with Reply resp -> Error resp in
-    let outcome, wedged =
-      if budgeted then with_job t ~drain:cancel ~deadline_ms ~gov (fun () -> supervised t job)
-      else (supervised t job, false)
+    let server_diags =
+      (if imposed_deadline && not complete then
+         server_diag "SRV003"
+           "the server's default deadline (%gms) expired before validation completed"
+           (Option.get deadline_ms)
+       else [])
+      @
+      if !wedged then
+        server_diag "SRV006"
+          "request ran past its %gms deadline plus the watchdog grace and was cancelled"
+          (Option.value deadline_ms ~default:0.)
+      else []
     in
-    match outcome with
-    | GP.Supervisor.Done (Error resp, _attempts) -> resp
-    | GP.Supervisor.Done (Ok report, _attempts) ->
-      let diags = GP.Validate.diagnostics report in
-      let diags =
-        if imposed_deadline && not report.GP.Validate.complete then
-          diags
-          @ [
-              GP.Diag.error ~code:"SRV003" ~subject:r.graph
-                (Printf.sprintf
-                   "%s: the server's default deadline (%gms) expired before validation \
-                    completed"
-                   r.graph
-                   (Option.get deadline_ms));
-            ]
-        else diags
-      in
-      let diags =
-        if wedged then
-          diags
-          @ [
-              GP.Diag.error ~code:"SRV006" ~subject:r.graph
-                (Printf.sprintf
-                   "%s: request ran past its %gms deadline plus the watchdog grace and \
-                    was cancelled"
-                   r.graph
-                   (Option.value deadline_ms ~default:0.));
-            ]
-        else diags
-      in
-      render_envelope ~command:"validate"
-        ~summary:(GP.Diag_report.validate_summary report)
-        diags
-    | GP.Supervisor.Crashed crash -> crash_response t ~command:"validate" ~subject:r.graph crash)
+    render_envelope ~command:"validate" ~summary:(VR.summary outcome) ?cls:(VR.cls outcome)
+      (VR.diagnostics outcome @ server_diags)
 
 (* ---- other operations ---- *)
 
@@ -496,9 +413,7 @@ let handle t ?cancel line =
           ~cls:GP.Diag.Exit.Budget
           "debug: stalled request cancelled by the watchdog"
       else render_envelope ~command:"stall" ~summary:[ ("stalled_s", Json.Float s) ] []
-  with
-  | Reply response -> response
-  | e ->
+  with e ->
     (* Nothing outside a supervised job should raise, but the worker
        must survive it if something does. *)
     Atomic.incr t.crashes;

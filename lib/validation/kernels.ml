@@ -37,10 +37,6 @@ type ctx = {
   gov : Governor.run;
 }
 
-let make_ctx ?env ?(gov = Governor.no_run) plan g =
-  let env = Option.value env ~default:Values_w.default_env in
-  { plan; snap = Snapshot.build (Plan.symtab plan) g; env; gov }
-
 (* A ctx over an already-frozen snapshot (e.g. mapped back from disk by
    {!Pg_graph.Snapshot_io}).  The snapshot's symbols must already live in
    the plan's symbol table — Snapshot_io.load remaps them on the way in. *)

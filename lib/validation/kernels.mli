@@ -12,9 +12,9 @@
     - {e per-rule slice kernels} ([ws1] … [ss4], {!ds7}): each covers one
       rule over a sub-range of the node range [\[0, n)] or edge range
       [\[0, m)].  {!Indexed} runs full ranges sequentially; {!Parallel}
-      shards the ranges across domains.  Kernels only read the frozen
-      context, so slices commute and {!Violation.normalize} yields the
-      same report for any schedule.
+      runs them over node-range shards across domains.  Kernels only
+      read the frozen context, so slices commute and
+      {!Violation.normalize} yields the same report for any schedule.
     - {e fused passes} ({!node_pass}/{!edge_pass}): everything the rule
       set says about one element in a single visit — the {!Linear}
       engine's one-pass shape. *)
@@ -28,29 +28,21 @@ type ctx = {
           (the default) restores the exact ungoverned code path *)
 }
 
-val make_ctx :
-  ?env:Pg_schema.Values_w.env ->
-  ?gov:Governor.run ->
-  Pg_schema.Plan.t ->
-  Pg_graph.Property_graph.t ->
-  ctx
-(** Freeze a graph against a compiled plan.  Interns any graph-only
-    labels into the plan's symbol table, so resolving graphs against a
-    shared plan is sequential-only; the resulting ctx is immutable and
-    safe to share across domains (the governor run is [Atomic]-based).
-    [gov] defaults to {!Governor.no_run}: unlimited, unmetered. *)
-
 val ctx_of_snap :
   ?env:Pg_schema.Values_w.env ->
   ?gov:Governor.run ->
   Pg_schema.Plan.t ->
   Pg_graph.Snapshot.t ->
   ctx
-(** Wrap an already-frozen snapshot — typically one mapped back from disk
-    by {!Pg_graph.Snapshot_io.load}, which interns the snapshot's symbols
-    into the plan's symbol table on the way in.  The caller is
-    responsible for that symbol discipline; {!make_ctx} is the safe path
-    for raw graphs. *)
+(** Wrap a snapshot frozen against the plan's symbol table — by
+    {!Pg_graph.Snapshot.build} or {!Pg_graph.Snapshot.freeze}, or mapped
+    back from disk by {!Pg_graph.Snapshot_io.load}, which interns the
+    snapshot's symbols into it on the way in.  The caller is responsible
+    for that symbol discipline (freezing interns graph-only labels, so
+    resolving graphs against a shared plan is sequential-only); the ctx
+    is immutable and safe to share across domains (the governor run is
+    [Atomic]-based).  [gov] defaults to {!Governor.no_run}: unlimited,
+    unmetered. *)
 
 type rule_set = { weak : bool; dirs : bool; strong : bool }
 (** Which rule families a pass evaluates: WS1–WS4 ([weak]), DS1–DS7

@@ -6,7 +6,7 @@
    the graph can be cut into disjoint node-range shards and validated
    with almost no shared state.  This engine exploits that directly:
 
-   1. the caller freezes the graph once ({!Kernels.make_ctx}: the
+   1. the caller freezes the graph once ({!Kernels.ctx_of_snap}: the
       compiled plan plus the CSR snapshot, immutable from then on);
    2. {!Pg_graph.Partition.make} cuts the node range into shards
       (zero-copy column sub-views) and computes the frontier — the
@@ -128,12 +128,6 @@ let check_partitioned ~domains ~shards (ctx : K.ctx) (rs : K.rule_set) =
     end
   in
   Violation.normalize acc
-
-let check ?domains (ctx : K.ctx) (rs : K.rule_set) =
-  let domains =
-    match require "domain" domains with Some d -> d | None -> default_domains ()
-  in
-  check_partitioned ~domains ~shards:domains ctx rs
 
 let check_sharded ?domains ?shards (ctx : K.ctx) (rs : K.rule_set) =
   let domains =

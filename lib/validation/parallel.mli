@@ -15,17 +15,13 @@
     a sequential run over the same snapshot.  Values above the core count
     are allowed — useful for testing scheduling, useless for speed. *)
 
-val check : ?domains:int -> Kernels.ctx -> Kernels.rule_set -> Violation.t list
-(** Violations of the selected rule families, normalized.  Cuts one
-    shard per domain.
-    @raise Invalid_argument if [domains < 1]. *)
-
 val check_sharded :
   ?domains:int -> ?shards:int -> Kernels.ctx -> Kernels.rule_set -> Violation.t list
-(** Like {!check} but with the shard count decoupled from the domain
-    count ([shards] defaults to [domains]) — more shards than domains
-    bounds the resident working set per task; the report is byte-
-    identical either way.
+(** Violations of the selected rule families, normalized, over [shards]
+    node-range shards (default: one per domain).  More shards than
+    domains bounds the resident working set per task; the report is
+    byte-identical either way.  The [Parallel] engine is this with one
+    shard per domain.
     @raise Invalid_argument if [domains < 1] or [shards < 1]. *)
 
 val default_domains : unit -> int

@@ -50,53 +50,45 @@ let report_of_counts ~mode ~engine run violations ~nodes_checked ~edges_checked 
     engine;
   }
 
-let report_of ~mode ~engine run violations g =
-  report_of_counts ~mode ~engine run violations ~nodes_checked:(G.node_count g)
-    ~edges_checked:(G.edge_count g)
-
-let check_compiled ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
-    ?(gov = Governor.unlimited) plan g =
+(* The string-level oracle over the raw graph. *)
+let check_naive ~mode ?env ~gov sch g =
   let run = Governor.start gov in
-  let violations =
-    match engine with
-    | Naive -> naive_violations ~mode ?env ~run (Plan.schema plan) g
-    | (Linear | Indexed | Parallel | Sharded) as engine ->
-      let ctx = Kernels.make_ctx ?env ~gov:run plan g in
-      let rs = rules_of mode in
-      (match engine with
-      | Linear -> Linear.check ctx rs
-      | Indexed -> Indexed.check ctx rs
-      | Parallel -> Parallel.check ?domains ctx rs
-      | Sharded -> Parallel.check_sharded ?domains ?shards ctx rs
-      | Naive -> assert false)
-  in
-  report_of ~mode ~engine run violations g
+  report_of_counts ~mode ~engine:Naive run (naive_violations ~mode ?env ~run sch g)
+    ~nodes_checked:(G.node_count g) ~edges_checked:(G.edge_count g)
 
-(* Validation over an already-frozen snapshot (e.g. mapped back from
-   disk): the compiled engines run unchanged because they never touch the
-   raw graph, only the ctx.  Naive is the one engine that cannot — it is
-   a string-level oracle over the original Property_graph text, which a
-   snapshot does not retain. *)
+(* Validation over a frozen snapshot (built from a graph, or mapped back
+   from disk): the compiled engines never touch the raw graph, only the
+   ctx.  Naive is the one engine that cannot — it is a string-level
+   oracle over the original Property_graph text, which a snapshot does
+   not retain.  [Parallel] is the sharded engine with one shard per
+   domain. *)
 let check_snapshot ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
     ?(gov = Governor.unlimited) plan snap =
   let run = Governor.start gov in
+  let ctx = Kernels.ctx_of_snap ?env ~gov:run plan snap in
+  let rs = rules_of mode in
   let violations =
     match engine with
     | Naive ->
       invalid_arg
         "Validate.check_snapshot: the naive engine needs the source graph, not a snapshot"
-    | (Linear | Indexed | Parallel | Sharded) as engine ->
-      let ctx = Kernels.ctx_of_snap ?env ~gov:run plan snap in
-      let rs = rules_of mode in
-      (match engine with
-      | Linear -> Linear.check ctx rs
-      | Indexed -> Indexed.check ctx rs
-      | Parallel -> Parallel.check ?domains ctx rs
-      | Sharded -> Parallel.check_sharded ?domains ?shards ctx rs
-      | Naive -> assert false)
+    | Linear -> Linear.check ctx rs
+    | Indexed -> Indexed.check ctx rs
+    | Parallel -> Parallel.check_sharded ?domains ?shards:domains ctx rs
+    | Sharded -> Parallel.check_sharded ?domains ?shards ctx rs
   in
   report_of_counts ~mode ~engine run violations ~nodes_checked:snap.Pg_graph.Snapshot.n
     ~edges_checked:snap.Pg_graph.Snapshot.m
+
+(* The compiled engines freeze the graph against the plan's symbol table
+   before the budget starts counting. *)
+let check_compiled ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
+    ?(gov = Governor.unlimited) plan g =
+  match engine with
+  | Naive -> check_naive ~mode ?env ~gov (Plan.schema plan) g
+  | Linear | Indexed | Parallel | Sharded ->
+    check_snapshot ~engine ~mode ?env ?domains ?shards ~gov plan
+      (Pg_graph.Snapshot.build (Plan.symtab plan) g)
 
 (* Out-of-core validation: the sharded engine, one domain, over a
    snapshot whose columns and property pools stay mapped from disk.
@@ -109,9 +101,7 @@ let check_mapped ?mode ?env ?(shards = 1) ?gov plan mapped =
 let check ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
     ?(gov = Governor.unlimited) sch g =
   match engine with
-  | Naive ->
-    let run = Governor.start gov in
-    report_of ~mode ~engine run (naive_violations ~mode ?env ~run sch g) g
+  | Naive -> check_naive ~mode ?env ~gov sch g
   | Linear | Indexed | Parallel | Sharded ->
     check_compiled ~engine ~mode ?env ?domains ?shards ~gov (Plan.compile sch) g
 

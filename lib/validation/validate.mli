@@ -66,10 +66,12 @@ val check_compiled :
   Pg_graph.Property_graph.t ->
   report
 (** {!check} against a precompiled plan.  [Naive] ignores the compiled
-    tables and runs on the plan's schema.  Reusing one plan across checks
-    is sequential-only (freezing a graph interns its labels into the
-    plan's symbol table); within a check the [Parallel] engine shares the
-    plan across domains safely. *)
+    tables and runs on the plan's schema; the compiled engines freeze the
+    graph ({!Pg_graph.Snapshot.build}, before [gov] starts counting) and
+    run {!check_snapshot}.  Reusing one plan across checks is
+    sequential-only (freezing a graph interns its labels into the plan's
+    symbol table); within a check the [Parallel] engine shares the plan
+    across domains safely. *)
 
 val check_snapshot :
   ?engine:engine ->
@@ -97,12 +99,11 @@ val check_mapped :
   Pg_schema.Plan.t ->
   Pg_graph.Snapshot_io.mapped ->
   (report, Pg_graph.Snapshot_io.error) result
-(** Out-of-core validation: the [Sharded] engine on one domain over a
-    snapshot whose columns and property pools stay mapped file pages
-    ([shards] defaults to [1]).  The report is byte-identical to the in-memory engines'.  The
-    result type is the I/O layer's, but every I/O error was already
-    answered by {!Pg_graph.Snapshot_io.open_mapped}: this returns
-    [Ok]. *)
+(** [check_snapshot ~engine:Sharded ~domains:1] over an
+    {!Pg_graph.Snapshot_io.open_mapped} handle ([shards] defaults to
+    [1]); it remains only for the benchmark replay.  The result type is
+    the I/O layer's, but every I/O error was already answered when the
+    file was opened: this returns [Ok]. *)
 
 val check :
   ?engine:engine ->

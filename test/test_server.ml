@@ -395,9 +395,12 @@ let test_served_snapshot_parity () =
         (run_cli
            (cli_validate_args ~engine ~extra:"--snapshot" ~schema:movies_sdl ~graph:snap_path ())))
     [ "indexed"; "sharded"; "indexed" ];
-  (* the sharded engine maps the file afresh per request, so the cache
-     hit comes from the repeated indexed run *)
-  check_bool "snapshot cache hits" true ((Service.snapshot_stats svc).Cache.hits >= 1);
+  (* every engine takes the snapshot from the cache: the first request
+     loads it, the sharded one and the repeat hit it *)
+  let s = Service.snapshot_stats svc in
+  check_int "one load" 1 s.Cache.misses;
+  check_int "two hits" 2 s.Cache.hits;
+  check_int "one cached snapshot" 1 s.Cache.size;
   (* naive + snapshot is the CLI's usage error, same code *)
   let served =
     Service.handle svc
