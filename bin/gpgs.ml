@@ -166,9 +166,6 @@ let max_violations_arg =
     & info [ "max-violations" ] ~docv:"N"
         ~doc:"Stop validating after N violations have been found (exit code 3).")
 
-let governor ?deadline_ms ?max_violations () =
-  GP.Governor.make ?deadline_ms ?max_violations ()
-
 let stream_arg =
   Arg.(
     value & flag
@@ -274,7 +271,7 @@ let check_cmd =
     Option.iter (usage ~fmt ~command:"check") (VR.budget_usage ?deadline_ms ());
     let sch, warnings = or_die ~fmt ~command:"check" (load_schema ?lang ~lenient schema_path) in
     let issues = GP.Consistency.check sch in
-    let gov = governor ?deadline_ms () in
+    let gov = GP.Governor.make ?deadline_ms () in
     let reports = GP.Satisfiability.check_all ~gov sch in
     let diags =
       warnings
@@ -440,7 +437,7 @@ let sat_cmd =
   let run schema_path type_name lenient witness_out deadline_ms fmt =
     Option.iter (usage ~fmt ~command:"sat") (VR.budget_usage ?deadline_ms ());
     let sch, _ = or_die ~fmt ~command:"sat" (load_schema ~lenient schema_path) in
-    let gov = governor ?deadline_ms () in
+    let gov = GP.Governor.make ?deadline_ms () in
     let report = GP.Satisfiability.check ~gov sch type_name in
     let witness_file =
       match witness_out, report.GP.Satisfiability.witness with
