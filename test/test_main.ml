@@ -48,6 +48,6 @@ let () =
       ("snapshot_io", Test_snapshot_io.suite);
       ("sharded", Test_sharded.suite);
       ("server", Test_server.suite);
-      ("validate_request", Test_validate_request.suite);
+      ("validate_req", Test_validate_request.suite);
       ("fault", Test_fault.suite);
     ]
