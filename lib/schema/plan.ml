@@ -118,14 +118,6 @@ let no_loops_at t l = if l < t.n_types then t.no_loops_at.(l) else no_constraint
 let unique_tgt t = t.unique_tgt
 let keys t = t.keys
 
-(* Name-keyed lookups for callers that work on the mutable graph rather
-   than a snapshot (the Incremental engine). *)
-let field_named t l fname =
-  match find t fname with Some fsym -> field t l fsym | None -> None
-
-let arg_named t fi aname =
-  match find t aname with Some asym -> arg fi asym | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 

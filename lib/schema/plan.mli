@@ -88,11 +88,6 @@ val field : t -> int -> int -> field_info option
 val arg : field_info -> int -> arg_info option
 (** Compiled [Schema.arg_type]. *)
 
-val field_named : t -> int -> string -> field_info option
-(** {!field} with a string field name (for graph-level callers). *)
-
-val arg_named : t -> field_info -> string -> arg_info option
-
 val required_at : t -> int -> field_constraint array
 (** The [@required] constraints applying to nodes labelled [l]
     (those with [l ⊑ owner]): the DS5/DS6 work list. *)

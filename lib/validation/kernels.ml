@@ -21,7 +21,9 @@
    kernels ({!Indexed} sequentially, {!Parallel} sharded across domains)
    and the fused single-pass {!node_pass}/{!edge_pass} used by
    {!Linear}.  Kernels only read the frozen context, so slices commute
-   and {!Violation.normalize} makes every engine's report identical. *)
+   and {!Violation.normalize} makes every engine's report identical.
+   {!Incremental} runs them too, on the frozen neighbourhood of the
+   region an update touched. *)
 
 module G = Pg_graph.Property_graph
 module Value = Pg_graph.Value
@@ -552,8 +554,11 @@ let ds7_emit ctx (key : Plan.key) (groups : (string, int list) Hashtbl.t) acc =
   if Governor.active gov then Governor.note_found gov (Governor.added acc' acc);
   acc'
 
+(* The table is sized to the snapshot: {!Incremental} checks frozen
+   neighbourhoods of a few nodes, where 256 empty buckets per key would
+   dominate the whole check. *)
 let ds7 ctx (key : Plan.key) acc =
-  let groups : (string, int list) Hashtbl.t = Hashtbl.create 256 in
+  let groups : (string, int list) Hashtbl.t = Hashtbl.create (min 256 ctx.snap.Snapshot.n) in
   ds7_groups ctx key groups ~lo:0 ~hi:ctx.snap.Snapshot.n;
   ds7_emit ctx key groups acc
 

@@ -17,7 +17,13 @@
       {!Violation.normalize} yields the same report for any schedule.
     - {e fused passes} ({!node_pass}/{!edge_pass}): everything the rule
       set says about one element in a single visit — the {!Linear}
-      engine's one-pass shape. *)
+      engine's one-pass shape.
+
+    These bodies are the only compiled implementation of the rules:
+    {!Incremental} re-checks the region an update touched by freezing
+    its neighbourhood into a small snapshot and running {!Indexed} on
+    it; the string-level {!Naive} engine is the specification they are
+    tested against. *)
 
 type ctx = {
   plan : Pg_schema.Plan.t;
