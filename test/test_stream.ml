@@ -62,15 +62,36 @@ let graphml_result_equal a b =
     e1.message = e2.message
   | Ok _, Result.Error _ | Result.Error _, Ok _ -> false
 
+(* [f path] with [text] written to a temporary file at [path] *)
+let with_text_file text f =
+  let path = Filename.temp_file "gpgs_stream" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path text;
+      f path)
+
+let read_channel read ~chunk_size path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> read (Chunked.of_channel ~chunk_size ic))
+
+(* Every chunk size reads the text from memory and from a file: the
+   channel source refills one buffer on every pull, so a reader that
+   keeps a chunk past the next pull reads the wrong bytes. *)
 let differential ~name ~count gen_text result_equal parse read =
   QCheck2.Test.make ~name ~count
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
     (fun seeds ->
       let text = gen_text seeds in
       let slurp = parse text in
-      List.for_all
-        (fun chunk_size -> result_equal slurp (read (Chunked.of_string ~chunk_size text)))
-        (chunk_sizes text))
+      with_text_file text (fun path ->
+          List.for_all
+            (fun chunk_size ->
+              result_equal slurp (read (Chunked.of_string ~chunk_size text))
+              && result_equal slurp (read_channel read ~chunk_size path))
+            (chunk_sizes text)))
 
 let clean_pgf (seed, _) = Pgf.print (social seed)
 let clean_graphml (seed, _) = Graphml.to_string (social seed)
