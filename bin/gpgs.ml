@@ -51,7 +51,7 @@ let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () -> In_channel.input_all ic)
 
 let emit_json ~command ?summary ?cls diags =
   print_endline (GP.Diag_report.to_string (GP.Diag_report.envelope ~command ?summary ?cls diags))
