@@ -3,7 +3,7 @@
 
 let default_chunk_size = 65536
 
-type source = unit -> string option
+type source = unit -> (Bytes.t * int) option
 
 let of_channel ?(chunk_size = default_chunk_size) ic =
   if chunk_size <= 0 then
@@ -14,51 +14,61 @@ let of_channel ?(chunk_size = default_chunk_size) ic =
        not truncate the stream (Retry.input) *)
     match Retry.input ic buf 0 chunk_size with
     | 0 -> None
-    | n -> Some (Bytes.sub_string buf 0 n)
+    | n -> Some (buf, n)
     | exception End_of_file -> None
 
 let of_string ?(chunk_size = default_chunk_size) text =
   if chunk_size <= 0 then
     invalid_arg "Chunked.of_string: chunk_size must be positive";
+  let buf = Bytes.create (min chunk_size (max 1 (String.length text))) in
   let pos = ref 0 in
   fun () ->
     if !pos >= String.length text then None
     else begin
       let n = min chunk_size (String.length text - !pos) in
-      let s = String.sub text !pos n in
+      Bytes.blit_string text !pos buf 0 n;
       pos := !pos + n;
-      Some s
+      Some (buf, n)
     end
+
+let rec newline b i stop =
+  if i >= stop then -1 else if Bytes.unsafe_get b i = '\n' then i else newline b (i + 1) stop
 
 (* A line that lies inside one chunk is handed over as a range of that
    chunk; only a line split across chunks is copied (into [carry]). *)
 let iter_lines source f =
-  let carry = Buffer.create 256 in
+  let carry = ref (Bytes.create 256) and carried = ref 0 in
+  let keep chunk start stop =
+    let len = stop - start in
+    if !carried + len > Bytes.length !carry then begin
+      let bigger = Bytes.create (max (!carried + len) (2 * Bytes.length !carry)) in
+      Bytes.blit !carry 0 bigger 0 !carried;
+      carry := bigger
+    end;
+    Bytes.blit chunk start !carry !carried len;
+    carried := !carried + len
+  in
   let lineno = ref 1 in
-  let rec drain chunk start =
-    match String.index_from_opt chunk start '\n' with
-    | Some i ->
-      if Buffer.length carry = 0 then f !lineno chunk start i
+  let rec drain chunk len start =
+    match newline chunk start len with
+    | -1 -> keep chunk start len
+    | i ->
+      if !carried = 0 then f !lineno chunk start i
       else begin
-        Buffer.add_substring carry chunk start (i - start);
-        let l = Buffer.contents carry in
-        Buffer.clear carry;
-        f !lineno l 0 (String.length l)
+        keep chunk start i;
+        let l = !carried in
+        carried := 0;
+        f !lineno !carry 0 l
       end;
       incr lineno;
-      drain chunk (i + 1)
-    | None -> Buffer.add_substring carry chunk start (String.length chunk - start)
+      drain chunk len (i + 1)
   in
   let rec loop () =
     match source () with
-    | Some chunk ->
-      drain chunk 0;
+    | Some (chunk, len) ->
+      drain chunk len 0;
       loop ()
-    | None ->
-      if Buffer.length carry > 0 then begin
-        let l = Buffer.contents carry in
-        f !lineno l 0 (String.length l)
-      end
+    | None -> if !carried > 0 then f !lineno !carry 0 !carried
   in
   loop ()
 
@@ -68,5 +78,6 @@ let whole text =
     if !given then None
     else begin
       given := true;
-      Some text
+      (* no byte of [text] is ever written: sources are read-only *)
+      Some (Bytes.unsafe_of_string text, String.length text)
     end

@@ -538,7 +538,13 @@ let scan_source source f =
       pos := 0
     end;
     match source () with
-    | Some chunk -> buf := (if !buf = "" then chunk else !buf ^ chunk)
+    | Some (chunk, len) ->
+      (* the chunk is refilled by the next pull: the window copies it *)
+      let rest = String.length !buf in
+      let b = Bytes.create (rest + len) in
+      Bytes.blit_string !buf 0 b 0 rest;
+      Bytes.blit chunk 0 b rest len;
+      buf := Bytes.unsafe_to_string b
     | None -> eof := true
   in
   let rec next () =

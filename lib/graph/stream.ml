@@ -36,7 +36,7 @@ let read_pgf ?max_errors ?(on_fault = fun _ -> ()) source =
              {
                record = lineno;
                subject = Printf.sprintf "line %d" lineno;
-               text = String.sub s start (stop - start);
+               text = Bytes.sub_string s start (stop - start);
                message = e.Pgf.message;
              }
            in

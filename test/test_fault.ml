@@ -231,7 +231,7 @@ let test_of_spec () =
 let collect_lines source =
   let acc = ref [] in
   GP.Chunked.iter_lines source (fun n s start stop ->
-      acc := (n, String.sub s start (stop - start)) :: !acc);
+      acc := (n, Bytes.sub_string s start (stop - start)) :: !acc);
   List.rev !acc
 
 let test_chunked_unmoved_by_schedules () =
