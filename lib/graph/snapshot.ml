@@ -42,14 +42,6 @@ exception Build_error = Staging.Build_error
 
 let ints_create len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 
-(* the first [len] entries of a heap column *)
-let ints_prefix (a : int array) len =
-  let b = ints_create len in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set b i (Array.unsafe_get a i)
-  done;
-  b
-
 (* Sort each CSR segment in place: insertion sort for the short segments
    that dominate real graphs, a heap copy and the library sort beyond. *)
 let sort_segments n (start : ints) (adj : ints) ~compare_edges =
@@ -73,11 +65,11 @@ let sort_segments n (start : ints) (adj : ints) ~compare_edges =
   done
 
 (* CSR over one endpoint column: count, prefix-sum, fill, sort segments *)
-let csr n m (ends : int array) ~compare_edges =
+let csr n m (ends : ints) ~compare_edges =
   let start = ints_create (n + 1) in
   Bigarray.Array1.fill start 0;
   for j = 0 to m - 1 do
-    start.{ends.(j) + 1} <- start.{ends.(j) + 1} + 1
+    start.{ends.{j} + 1} <- start.{ends.{j} + 1} + 1
   done;
   for i = 1 to n do
     start.{i} <- start.{i} + start.{i - 1}
@@ -85,14 +77,14 @@ let csr n m (ends : int array) ~compare_edges =
   let adj = ints_create m in
   let fill = Array.init n (fun i -> start.{i}) in
   for j = 0 to m - 1 do
-    adj.{fill.(ends.(j))} <- j;
-    fill.(ends.(j)) <- fill.(ends.(j)) + 1
+    adj.{fill.(ends.{j})} <- j;
+    fill.(ends.{j}) <- fill.(ends.{j}) + 1
   done;
   sort_segments n start adj ~compare_edges;
   (start, adj)
 
 let freeze st (s : Staging.t) =
-  let n = s.Staging.n and m = s.Staging.m in
+  let n = Staging.node_count s and m = Staging.edge_count s in
   (* staging id -> [st] id, interned on first sight.  The order of first
      sight is node labels, edge labels, node property keys, edge
      property keys — within one property vector the unseen keys in name
@@ -111,10 +103,10 @@ let freeze st (s : Staging.t) =
   in
   let node_label = ints_create n and edge_label = ints_create m in
   for i = 0 to n - 1 do
-    node_label.{i} <- tr s.node_label.(i)
+    node_label.{i} <- tr (Column.get s.node_label i)
   done;
   for j = 0 to m - 1 do
-    edge_label.{j} <- tr s.edge_label.(j)
+    edge_label.{j} <- tr (Column.get s.edge_label j)
   done;
   (* property keys: per vector, the unseen ones in name order *)
   let by_name a b = String.compare (Staging.symbol_name s a) (Staging.symbol_name s b) in
@@ -129,13 +121,14 @@ let freeze st (s : Staging.t) =
   for j = 0 to m - 1 do
     intern_keys s.edge_props j
   done;
-  let edge_src = s.edge_src and edge_tgt = s.edge_tgt and edge_id = s.edge_id in
+  let edge_id = Column.to_ints s.edge_id in
+  let edge_src = Column.to_ints s.edge_src and edge_tgt = Column.to_ints s.edge_tgt in
   (* out segments sorted by (label, target, id), in segments by (label,
      source, id) *)
-  let by_label_then ends a b =
+  let by_label_then (ends : ints) a b =
     match Int.compare edge_label.{a} edge_label.{b} with
     | 0 -> (
-      match Int.compare ends.(a) ends.(b) with 0 -> Int.compare edge_id.(a) edge_id.(b) | c -> c)
+      match Int.compare ends.{a} ends.{b} with 0 -> Int.compare edge_id.{a} edge_id.{b} | c -> c)
     | c -> c
   in
   let out_start, out_adj = csr n m edge_src ~compare_edges:(by_label_then edge_tgt) in
@@ -143,12 +136,12 @@ let freeze st (s : Staging.t) =
   {
     n;
     m;
-    node_id = ints_prefix s.node_id n;
-    edge_id = ints_prefix edge_id m;
+    node_id = Column.to_ints s.node_id;
+    edge_id;
     node_label;
     edge_label;
-    edge_src = ints_prefix edge_src m;
-    edge_tgt = ints_prefix edge_tgt m;
+    edge_src;
+    edge_tgt;
     node_props = Props.freeze s.node_props trans;
     edge_props = Props.freeze s.edge_props trans;
     out_start;

@@ -103,7 +103,7 @@ let index_remove id = function
    graph's own ids. *)
 let neighbourhood t region =
   let g = t.g in
-  let st = Staging.create ~nodes:16 ~edges:16 () in (* a neighbourhood is small *)
+  let st = Staging.create () in
   let index = Hashtbl.create 16 in
   let stage_props props = List.iter (fun (k, x) -> Staging.prop st (Staging.symbol st k) x) props in
   let stage_node v =
