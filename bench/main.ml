@@ -458,10 +458,21 @@ let e17_slurp path =
 let e17_stream path =
   match GP.Pgf.load path with Ok g -> g | Error _ -> failwith "load"
 
+let e22_load_columns path =
+  match GP.Pgf.load_columns path with Ok columns -> columns | Error _ -> failwith "load"
+
 (* the compiled path's ingest: PGF text into staging columns, frozen *)
-let e22_columns path =
-  match GP.Pgf.load_columns path with
-  | Ok columns -> GP.Snapshot.freeze (GP.Symtab.create ()) columns
+let e22_columns ?(st = GP.Symtab.create ()) path = GP.Snapshot.freeze st (e22_load_columns path)
+
+(* what `gpgs validate` of a PGF file runs: ingest, freeze against the
+   plan's symbols, the indexed check (strong) *)
+let e22_check plan path =
+  GP.Validate.check_snapshot plan (e22_columns ~st:(GP.Plan.symtab plan) path)
+
+(* the string-level route: ingest, thaw, stage again and freeze *)
+let e22_thaw path =
+  match GP.Pgf.load path with
+  | Ok g -> GP.Snapshot.build (GP.Symtab.create ()) g
   | Error _ -> failwith "load"
 
 let e17_child spec =
@@ -478,6 +489,10 @@ let e17_child spec =
   | "reparse" ->
     (* E18: the cold open — ingest the PGF text and freeze the CSR *)
     ignore (Sys.opaque_identity (e22_columns path))
+  | "columns" -> ignore (Sys.opaque_identity (e22_load_columns path))
+  | "thaw" -> ignore (Sys.opaque_identity (e22_thaw path))
+  | "check" ->
+    ignore (Sys.opaque_identity (e22_check (GP.Validate.compile (GP.Social.schema ())) path))
   | "mmap" ->
     (* E18: reopen a persisted snapshot; the int columns stay mapped *)
     (match GP.Snapshot_io.load (GP.Symtab.create ()) path with
@@ -805,37 +820,40 @@ let frontend_compile () =
 (* E22 — columnar ingest: the compiled path reads PGF text straight
    into staging columns and freezes those; a string-level consumer
    thaws the columns into a persistent graph, and Snapshot.build of
-   that graph stages it again before the same freeze.  Minor words are
-   counted on this domain and are deterministic for a given input, so
-   they compare across hosts where wall time cannot.                    *)
+   that graph stages it again before the same freeze.  The last row adds
+   the indexed check, which is all a `gpgs validate` of the file does
+   besides compiling the schema.  Minor words are counted on this domain
+   and are deterministic for a given input, so they compare across
+   hosts where wall time cannot.  Peak RSS is a child-process VmHWM
+   delta, as in E17.                                                     *)
 
 let columnar_ingest () =
-  section "E22: columnar PGF ingest + freeze (wall clock, minor words)";
+  section "E22: columnar PGF ingest + freeze (wall clock, minor words, peak RSS)";
   let persons = if fast then 500 else 20000 in
   let path = Filename.temp_file "gpgs_e22" ".pgf" in
   GP.Pgf.save path (GP.Social.generate ~persons ());
   let bytes = (Unix.stat path).Unix.st_size in
-  let ok = function Ok v -> v | Error _ -> failwith "E22: load" in
+  let plan = GP.Validate.compile (GP.Social.schema ()) in
   let stages =
     [
-      ("load_columns", fun () -> ignore (Sys.opaque_identity (ok (GP.Pgf.load_columns path))));
-      ("load_columns+freeze", fun () -> ignore (Sys.opaque_identity (e22_columns path)));
-      ( "load+build",
-        fun () ->
-          ignore
-            (Sys.opaque_identity (GP.Snapshot.build (GP.Symtab.create ()) (ok (GP.Pgf.load path))))
-      );
+      ("load_columns", "columns", fun () -> ignore (Sys.opaque_identity (e22_load_columns path)));
+      ("load_columns+freeze", "reparse", fun () -> ignore (Sys.opaque_identity (e22_columns path)));
+      ("load+build", "thaw", fun () -> ignore (Sys.opaque_identity (e22_thaw path)));
+      ( "load_columns+freeze+check",
+        "check",
+        fun () -> ignore (Sys.opaque_identity (e22_check plan path)) );
     ]
   in
   Printf.printf "  input: %d persons, %.1f MB of PGF text\n" persons
     (float_of_int bytes /. 1048576.0);
-  Printf.printf "  %-20s %12s %16s\n" "path" "wall (ms)" "minor (Mwords)";
+  Printf.printf "  %-26s %12s %16s %16s\n" "path" "wall (ms)" "minor (Mwords)" "peak RSS (KiB)";
   List.iter
-    (fun (name, f) ->
+    (fun (name, mode, f) ->
       let w0 = Gc.minor_words () in
       f ();
       let mwords = (Gc.minor_words () -. w0) /. 1e6 in
       let ms = time_ms f in
+      let rss = rss_delta_kb mode path in
       record "E22"
         [
           ("path", GP.Json.String name);
@@ -843,13 +861,14 @@ let columnar_ingest () =
           ("pgf_bytes", GP.Json.Int bytes);
           ("wall_ms", GP.Json.Float ms);
           ("minor_mwords", GP.Json.Float mwords);
+          ("peak_rss_kib", GP.Json.Int rss);
         ];
-      Printf.printf "  %-20s %12.2f %16.2f\n%!" name ms mwords)
+      Printf.printf "  %-26s %12.2f %16.2f %16d\n%!" name ms mwords rss)
     stages;
   Sys.remove path;
   Printf.printf
-    "  (load_columns+freeze is what validate, batch, snapshot build and the server's\n\
-    \   text path run; load+build is the thawed graph frozen again)\n"
+    "  (load_columns+freeze is what batch, snapshot build and the server's text path\n\
+    \   run; +check is validate's work; load+build is the thawed graph frozen again)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E23 — snapshot properties as mapped pools: what reopening a
