@@ -219,12 +219,42 @@ let prop_round_trip =
   QCheck2.Test.make ~name:"PGF print/parse round-trip" ~count:200 graph_gen (fun g ->
       match Pgf.parse (Pgf.print g) with Ok g' -> G.equal g g' | Error _ -> false)
 
+(* [n] distinct node handles: identifiers of 1 to 40 bytes over letters,
+   digits and '_', many around one 8-byte word long, many sharing a
+   long prefix, so the handle table meets more than one shape of name. *)
+let handles rng n =
+  let ident_start = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_" in
+  let ident_char = ident_start ^ "0123456789" in
+  let pick set = set.[Random.State.int rng (String.length set)] in
+  let word len = String.init len (fun i -> pick (if i = 0 then ident_start else ident_char)) in
+  let tail len = String.init len (fun _ -> pick ident_char) in
+  let shape () =
+    match Random.State.int rng 4 with
+    | 0 -> word (1 + Random.State.int rng 40)
+    | 1 -> word (7 + Random.State.int rng 3)
+    | 2 -> "shared_prefix_" ^ tail (Random.State.int rng 20)
+    | _ -> "n" ^ tail (Random.State.int rng 8)
+  in
+  let used = Hashtbl.create (2 * n) in
+  Array.init n (fun _ ->
+      let rec fresh () =
+        let h = shape () in
+        if Hashtbl.mem used h then fresh ()
+        else begin
+          Hashtbl.add used h ();
+          h
+        end
+      in
+      fresh ())
+
 (* [g] as a PGF document in the syntax's less common forms: comment and
    blank lines between records, CRLF line ends, edges with and without
    a handle, empty property maps, properties in any order, and shadowed
-   bindings (an earlier binding of a key that the last one overrides).  It describes exactly
-   [g], whose ids must be dense. *)
+   bindings (an earlier binding of a key that the last one overrides).
+   Node handles are spelled through a random injective map.  It
+   describes exactly [g], whose ids must be dense. *)
 let document rng g =
+  let handle = handles rng (G.node_count g) in
   let buf = Buffer.create 256 in
   let coin () = Random.State.bool rng in
   let eol () = Buffer.add_string buf (if coin () then "\r\n" else "\n") in
@@ -257,7 +287,7 @@ let document rng g =
   aside ();
   List.iter
     (fun v ->
-      Printf.bprintf buf "node n%d :%s" (G.node_id v) (G.node_label g v);
+      Printf.bprintf buf "node %s :%s" handle.(G.node_id v) (G.node_label g v);
       props (G.node_props g v);
       eol ();
       aside ())
@@ -266,7 +296,8 @@ let document rng g =
     (fun e ->
       let src, tgt = G.edge_ends g e in
       if coin () then Printf.bprintf buf "edge e%d " (G.edge_id e) else Buffer.add_string buf "edge ";
-      Printf.bprintf buf "n%d -> n%d :%s" (G.node_id src) (G.node_id tgt) (G.edge_label g e);
+      Printf.bprintf buf "%s -> %s :%s" handle.(G.node_id src) handle.(G.node_id tgt)
+        (G.edge_label g e);
       props (G.edge_props g e);
       eol ();
       aside ())
@@ -488,6 +519,84 @@ let prop_corrupted_lines =
           e.Pgf.line = f.Stream.record && e.Pgf.message = f.Stream.message && same_graph ()
         | Ok _, _ :: _ | Error _, [] -> false))
 
+(* 70 000 handles, so the handle table has grown many times: every edge
+   resolves to the node its handle names, and past the last growth a
+   duplicate and an unknown handle each give their exact message at
+   their line, slurped and read in chunks. *)
+let test_grown_handle_table () =
+  let n = 70_000 in
+  let handle = handles (rng n) n in
+  let buf = Buffer.create (64 * n) in
+  Array.iter (fun h -> Printf.bprintf buf "node %s :N\n" h) handle;
+  let src k = k * 7919 mod n in
+  for k = 0 to n - 1 do
+    Printf.bprintf buf "edge %s -> %s :r\n" handle.(src k) handle.(k)
+  done;
+  let clean = Buffer.contents buf in
+  (match Pgf.parse_columns clean with
+  | Error e -> Alcotest.failf "clean document: %a" Pgf.pp_error e
+  | Ok columns ->
+    let snap = Snapshot.freeze (Symtab.create ()) columns in
+    Alcotest.(check int) "nodes" n snap.n;
+    Alcotest.(check int) "edges" n snap.m;
+    for k = 0 to n - 1 do
+      if snap.edge_src.{k} <> src k || snap.edge_tgt.{k} <> k then
+        Alcotest.failf "edge %d joins %d -> %d, not %d -> %d" k snap.edge_src.{k}
+          snap.edge_tgt.{k} (src k) k
+    done);
+  let unknown = "unknown_handle_" ^ string_of_int n in
+  if Array.mem unknown handle then Alcotest.fail "the unknown handle is in use";
+  let last = (2 * n) + 1 in
+  List.iter
+    (fun (tail, message) ->
+      let text = clean ^ tail in
+      let expected = expected_text last message in
+      List.iter
+        (fun (how, result) ->
+          match result with
+          | Ok _ -> Alcotest.failf "%s accepted %S" how tail
+          | Error e -> Alcotest.(check string) (how ^ " " ^ String.escaped tail) expected (error_text e))
+        [
+          ("parse", Pgf.parse_columns text);
+          ("read", Pgf.read_columns (Graphql_pg.Chunked.of_string ~chunk_size:4093 text));
+        ])
+    [
+      ( Printf.sprintf "node %s :M\n" handle.(n / 3),
+        Printf.sprintf {|duplicate node handle "%s"|} handle.(n / 3) );
+      ( Printf.sprintf "edge %s -> %s :r\n" handle.(5) unknown,
+        Printf.sprintf {|unknown node handle "%s"|} unknown );
+    ]
+
+(* Two domains each ingest their own document 20 times while this one
+   ingests a third: every result thaws to the graph a sequential ingest
+   of its document gives, so no scanner or handle-table state is shared
+   between ingests. *)
+let test_two_ingests_at_once () =
+  let docs =
+    Array.init 3 (fun k -> document (rng k) (Graphql_pg.Social.generate ~seed:k ~persons:150 ()))
+  in
+  let columns text =
+    match Pgf.parse_columns text with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "ingest: %a" Pgf.pp_error e
+  in
+  let expected = Array.map (fun text -> Staging.thaw (columns text)) docs in
+  let run k () = List.init 20 (fun _ -> Pgf.parse_columns docs.(k)) in
+  let d1 = Domain.spawn (run 1) and d2 = Domain.spawn (run 2) in
+  let r0 = run 0 () in
+  let results = [| r0; Domain.join d1; Domain.join d2 |] in
+  Array.iteri
+    (fun k runs ->
+      List.iteri
+        (fun i r ->
+          match r with
+          | Error e -> Alcotest.failf "document %d, run %d: %a" k i Pgf.pp_error e
+          | Ok c ->
+            if not (G.equal expected.(k) (Staging.thaw c)) then
+              Alcotest.failf "document %d, run %d thaws to another graph" k i)
+        runs)
+    results
+
 let suite =
   [
     Alcotest.test_case "basics" `Quick test_basic;
@@ -504,4 +613,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pools;
     QCheck_alcotest.to_alcotest prop_key_form;
     QCheck_alcotest.to_alcotest prop_corrupted_lines;
+    Alcotest.test_case "handle table grown past 70 000" `Quick test_grown_handle_table;
+    Alcotest.test_case "two ingests at once" `Quick test_two_ingests_at_once;
   ]

@@ -93,6 +93,31 @@ let differential ~name ~count gen_text result_equal parse read =
               && result_equal slurp (read_channel read ~chunk_size path))
             (chunk_sizes text)))
 
+(* The line split at every offset within a word: [iter_lines] hands
+   over exactly the lines of [String.split_on_char '\n'], numbered from
+   1, without its trailing [""], whether the text is one chunk or
+   chunks of 1 to 17 bytes. *)
+let prop_iter_lines =
+  QCheck2.Test.make ~name:"iter_lines splits as split_on_char" ~count:300
+    QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; '\n'; '\r'; ' ' ]) (int_bound 200))
+    (fun text ->
+      let expected =
+        match List.rev (String.split_on_char '\n' text) with
+        | "" :: rest -> List.rev rest
+        | lines -> List.rev lines
+      in
+      let expected = List.mapi (fun i l -> (i + 1, l)) expected in
+      let lines source =
+        let got = ref [] in
+        Chunked.iter_lines source (fun n b start stop ->
+            got := (n, Bytes.sub_string b start (stop - start)) :: !got);
+        List.rev !got
+      in
+      lines (Chunked.whole text) = expected
+      && List.for_all
+           (fun chunk_size -> lines (Chunked.of_string ~chunk_size text) = expected)
+           (List.init 17 (fun k -> k + 1)))
+
 let clean_pgf (seed, _) = Pgf.print (social seed)
 let clean_graphml (seed, _) = Graphml.to_string (social seed)
 
@@ -600,4 +625,5 @@ let suite =
     Alcotest.test_case "batch report counts and summary" `Quick test_batch_report;
     Alcotest.test_case "gpgs batch continues on error" `Quick test_batch_cli_continue_on_error;
     Alcotest.test_case "gpgs batch: clean + budget + broken" `Quick test_batch_cli_mixed_failures;
+    QCheck_alcotest.to_alcotest prop_iter_lines;
   ]
