@@ -31,8 +31,23 @@ let of_string ?(chunk_size = default_chunk_size) text =
       Some (buf, n)
     end
 
+let rec newline_byte b i stop =
+  if i >= stop then -1 else if Bytes.unsafe_get b i = '\n' then i else newline_byte b (i + 1) stop
+
+(* The first '\n' of [b] in [\[i, stop)], or -1.  A word at a time: xor
+   with eight '\n's zeroes the newline bytes, and a word holds a zero
+   byte exactly when [(x - 0x01..01) land (lnot x) land 0x80..80] is not
+   zero.  The word that holds one, and the tail, go byte by byte. *)
 let rec newline b i stop =
-  if i >= stop then -1 else if Bytes.unsafe_get b i = '\n' then i else newline b (i + 1) stop
+  if stop - i < 8 then newline_byte b i stop
+  else
+    let x = Int64.logxor (Bytes.get_int64_ne b i) 0x0a0a0a0a0a0a0a0aL in
+    let zero =
+      Int64.logand
+        (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+        0x8080808080808080L
+    in
+    if Int64.equal zero 0L then newline b (i + 8) stop else newline_byte b i stop
 
 (* A line that lies inside one chunk is handed over as a range of that
    chunk; only a line split across chunks is copied (into [carry]). *)
