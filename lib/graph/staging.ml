@@ -8,82 +8,130 @@ exception Build_error of string
 (* ---- substring-keyed name tables ---- *)
 
 module Names = struct
-  (* Open addressing over [slots] (an id, or -1 for an empty slot) with
-     linear probing; [names] is the id -> name column.  Lookups hash and
-     compare the bytes in place, so resolving a name that is already
-     known allocates nothing. *)
-  type t = { mutable names : string array; mutable count : int; mutable slots : int array }
+  (* Open addressing with linear probing over [slots].  A slot is -1
+     (empty) or one int packing a name's id into its low [id_bits] and
+     the low [id_bits] bits of the name's hash above them, so a probe
+     compares hashes in the slot itself and reads a name only when they
+     agree.  The names lie end to end in one byte arena: name [id] is
+     [arena.[start.(id) .. start.(id + 1) - 1]].  A lookup that misses
+     remembers the empty slot it ended on and the hash, and [add_missed]
+     fills that slot: one hash and one probe per new name.  Growing the
+     table rehashes from the slots alone. *)
+  let id_bits = 31
+  let id_mask = (1 lsl id_bits) - 1
 
-  let create () = { names = Array.make 16 ""; count = 0; slots = Array.make 32 (-1) }
+  type t = {
+    mutable arena : Bytes.t;
+    mutable start : int array;  (** id -> start of its name; entry [count] is the arena's end *)
+    mutable count : int;
+    mutable slots : int array;
+    mutable miss : int;  (** the empty slot the last missed lookup ended on, or -1 *)
+    mutable miss_tag : int;  (** that lookup's hash, shifted above the id bits *)
+  }
+
+  let create () =
+    {
+      arena = Bytes.create 64;
+      start = Array.make 16 0;
+      count = 0;
+      slots = Array.make 32 (-1);
+      miss = -1;
+      miss_tag = 0;
+    }
+
   let count t = t.count
-  let name t id = t.names.(id)
+
+  let name t id =
+    if id < 0 || id >= t.count then invalid_arg "Staging.Names.name";
+    Bytes.sub_string t.arena t.start.(id) (t.start.(id + 1) - t.start.(id))
 
   (* FNV-1a, with a final shift so the low bits the mask keeps also
      depend on the last bytes: handles such as n0..n99999 differ only
-     there *)
+     there.  The helpers below are closed functions, so a lookup
+     allocates no closure. *)
+  let rec fnv s i stop h =
+    if i >= stop then h
+    else fnv s (i + 1) stop ((h lxor Char.code (Bytes.unsafe_get s i)) * 0x01000193)
+
   let hash s pos len =
-    let h = ref 0x811c9dc5 in
-    for i = pos to pos + len - 1 do
-      h := (!h lxor Char.code (Bytes.unsafe_get s i)) * 0x01000193
-    done;
-    (!h lxor (!h lsr 29)) land max_int
+    let h = fnv s pos (pos + len) 0x811c9dc5 in
+    (h lxor (h lsr 29)) land id_mask
 
-  (* the helpers below are closed functions, so a lookup allocates no
-     closure *)
-  let rec same_bytes name s pos i len =
-    i = len
-    || String.unsafe_get name i = Bytes.unsafe_get s (pos + i)
-       && same_bytes name s pos (i + 1) len
+  let rec same_bytes arena a s pos len =
+    len = 0
+    || Bytes.unsafe_get arena a = Bytes.unsafe_get s pos
+       && same_bytes arena (a + 1) s (pos + 1) (len - 1)
 
-  let rec probe slots names mask s pos len i =
-    let id = Array.unsafe_get slots i in
-    if id < 0 then id
+  let rec probe t slots mask s pos len tag i =
+    let x = Array.unsafe_get slots i in
+    if x < 0 then begin
+      t.miss <- i;
+      -1
+    end
     else begin
-      let name = Array.unsafe_get names id in
-      if String.length name = len && same_bytes name s pos 0 len then id
-      else probe slots names mask s pos len ((i + 1) land mask)
+      let id = x land id_mask in
+      if
+        x lxor tag <= id_mask
+        &&
+        let a = Array.unsafe_get t.start id in
+        Array.unsafe_get t.start (id + 1) - a = len && same_bytes t.arena a s pos len
+      then id
+      else probe t slots mask s pos len tag ((i + 1) land mask)
     end
 
   let find_sub t s pos len =
-    let mask = Array.length t.slots - 1 in
-    probe t.slots t.names mask s pos len (hash s pos len land mask)
+    if pos < 0 || len < 0 || pos + len > Bytes.length s then invalid_arg "Staging.Names.find_sub";
+    let h = hash s pos len in
+    let tag = h lsl id_bits in
+    t.miss <- -1;
+    t.miss_tag <- tag;
+    probe t t.slots (Array.length t.slots - 1) s pos len tag (h land (Array.length t.slots - 1))
 
-  let rec free_slot slots mask i =
-    if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
+  (* [slots] twice as large, every entry moved to the slot its stored
+     hash picks *)
+  let grow slots =
+    let bigger = Array.make (2 * Array.length slots) (-1) in
+    let mask = Array.length bigger - 1 in
+    Array.iter
+      (fun x ->
+        if x >= 0 then begin
+          let i = ref ((x lsr id_bits) land mask) in
+          while bigger.(!i) >= 0 do
+            i := (!i + 1) land mask
+          done;
+          bigger.(!i) <- x
+        end)
+      slots;
+    bigger
 
-  let place slots name id =
-    let mask = Array.length slots - 1 in
-    let h = hash (Bytes.unsafe_of_string name) 0 (String.length name) in
-    slots.(free_slot slots mask (h land mask)) <- id
-
-  (* [name] must be absent; it becomes the next dense id *)
-  let add t name =
+  let add_missed t s pos len =
+    if t.miss < 0 then invalid_arg "Staging.Names.add_missed: no missed lookup to fill";
     let id = t.count in
-    if id = Array.length t.names then begin
-      let bigger = Array.make (2 * id) "" in
-      Array.blit t.names 0 bigger 0 id;
-      t.names <- bigger
+    if id = id_mask then failwith "Staging.Names: too many names";
+    let at = t.start.(id) in
+    if at + len > Bytes.length t.arena then begin
+      let bigger = Bytes.create (max (at + len) (2 * Bytes.length t.arena)) in
+      Bytes.blit t.arena 0 bigger 0 at;
+      t.arena <- bigger
     end;
-    t.names.(id) <- name;
+    Bytes.blit s pos t.arena at len;
+    if id + 2 > Array.length t.start then begin
+      let bigger = Array.make (2 * Array.length t.start) 0 in
+      Array.blit t.start 0 bigger 0 (id + 1);
+      t.start <- bigger
+    end;
+    t.start.(id + 1) <- at + len;
+    t.slots.(t.miss) <- t.miss_tag lor id;
+    t.miss <- -1;
     t.count <- id + 1;
-    if 2 * t.count > Array.length t.slots then begin
-      let slots = Array.make (2 * Array.length t.slots) (-1) in
-      for k = 0 to t.count - 1 do
-        place slots t.names.(k) k
-      done;
-      t.slots <- slots
-    end
-    else place t.slots name id;
+    if 2 * t.count > Array.length t.slots then t.slots <- grow t.slots;
     id
 
   let intern_sub t s pos len =
-    match find_sub t s pos len with -1 -> add t (Bytes.sub_string s pos len) | id -> id
+    match find_sub t s pos len with -1 -> add_missed t s pos len | id -> id
 
-  (* [find_sub] only reads the bytes *)
-  let intern t name =
-    match find_sub t (Bytes.unsafe_of_string name) 0 (String.length name) with
-    | -1 -> add t name
-    | id -> id
+  (* [find_sub] and [add_missed] only read the bytes *)
+  let intern t name = intern_sub t (Bytes.unsafe_of_string name) 0 (String.length name)
 end
 
 (* ---- the staging columns ---- *)
@@ -179,10 +227,11 @@ let of_graph g =
 
 let thaw t =
   let ids = Array.init (symbols t) Fun.id in
+  let names = Array.map (symbol_name t) ids in
   let node_props = Props.freeze t.node_props ids and edge_props = Props.freeze t.edge_props ids in
-  let bindings p i = List.map (fun (k, v) -> (symbol_name t k, v)) (Props.bindings p i) in
+  let bindings p i = List.map (fun (k, v) -> (names.(k), v)) (Props.bindings p i) in
   let g = ref G.empty in
-  let label column i = symbol_name t (Column.get column i) in
+  let label column i = names.(Column.get column i) in
   let nodes =
     Array.init (node_count t) (fun i ->
         let props = bindings node_props i in

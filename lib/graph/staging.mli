@@ -21,8 +21,12 @@ exception Build_error of string
 
 (** Substring-keyed name tables: dense ids for names, where looking up
     a name that is already known, given as a range of a byte buffer,
-    allocates nothing.  The staging symbol table is one; the PGF reader
-    keeps its node handles in another. *)
+    allocates nothing.  The names are kept end to end in one byte
+    arena, and each slot of the open-addressing table packs an id with
+    its name's hash, so a lookup hashes once and reads a stored name
+    only when the hashes agree.  The staging symbol table is one; the
+    PGF reader keeps its node handles in another.  A table belongs to
+    one ingest: it is not safe to share between domains. *)
 module Names : sig
   type t
 
@@ -30,14 +34,18 @@ module Names : sig
   val count : t -> int
 
   val name : t -> int -> string
-  (** The name of an id below {!count}. *)
+  (** The name of an id below {!count}, as a fresh string. *)
 
   val find_sub : t -> Bytes.t -> int -> int -> int
   (** [find_sub t b pos len] is the id of [Bytes.sub_string b pos len],
-      or [-1]. *)
+      or [-1].  A miss remembers where the name would go. *)
 
-  val add : t -> string -> int
-  (** Register an absent name under the next id. *)
+  val add_missed : t -> Bytes.t -> int -> int -> int
+  (** [add_missed t b pos len] registers the range that the last
+      {!find_sub} on [t] missed, under the next id, in the slot that
+      lookup found: no second hash or probe.  Nothing may have been added
+      to [t] since that lookup.
+      @raise Invalid_argument if the last lookup was not a miss. *)
 
   val intern_sub : t -> Bytes.t -> int -> int -> int
   (** {!find_sub}, registering a copy of the range when it is absent. *)
