@@ -98,6 +98,32 @@ val bind : pending -> int -> Value.t -> unit
     pending record.  Binding a key again replaces its value: the last
     binding wins. *)
 
+(** {3 Encoding before binding}
+
+    A reader that scans values before it knows the record is well
+    formed encodes each one at the end of the pending record's scratch,
+    straight from its text, and binds the keys once the record has
+    parsed.  [put_string p b pos len] encodes the [String] of bytes
+    [pos .. pos+len-1] of [b]; [put_id] and [put_enum] likewise. *)
+
+val mark : pending -> int
+(** Where the next encoded value starts. *)
+
+val put_int : pending -> int -> unit
+val put_float : pending -> float -> unit
+val put_bool : pending -> bool -> unit
+val put_string : pending -> Bytes.t -> int -> int -> unit
+val put_id : pending -> Bytes.t -> int -> int -> unit
+val put_enum : pending -> Bytes.t -> int -> int -> unit
+val put_value : pending -> Value.t -> unit
+
+val bind_range : pending -> int -> int -> int -> unit
+(** [bind_range p key start stop] binds [key] to the value encoded from
+    {!mark} [start] to {!mark} [stop], as {!bind} would. *)
+
+val clear : pending -> unit
+(** Drop the pending record: its bindings and every encoded value. *)
+
 type builder
 (** A growable pool, one vector appended per element. *)
 
