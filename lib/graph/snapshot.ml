@@ -92,12 +92,14 @@ let freeze st (s : Staging.t) =
      (sorted bindings) meets them, so every feed of one graph assigns the
      same ids. *)
   let trans = Array.make (Staging.symbols s) (-1) in
+  let untranslated = ref (Staging.symbols s) in
   let tr k =
     let id = trans.(k) in
     if id >= 0 then id
     else begin
       let id = Symtab.intern st (Staging.symbol_name s k) in
       trans.(k) <- id;
+      decr untranslated;
       id
     end
   in
@@ -115,12 +117,17 @@ let freeze st (s : Staging.t) =
     Props.iter_keys pool i (fun k -> if trans.(k) < 0 then unseen := k :: !unseen);
     if !unseen <> [] then List.iter (fun k -> ignore (tr k)) (List.sort by_name !unseen)
   in
-  for i = 0 to n - 1 do
-    intern_keys s.node_props i
-  done;
-  for j = 0 to m - 1 do
-    intern_keys s.edge_props j
-  done;
+  (* once every staging symbol has an id, no vector holds an unseen
+     key: the scan stops there (usually after the first few records) *)
+  let scan pool count =
+    let i = ref 0 in
+    while !untranslated > 0 && !i < count do
+      intern_keys pool !i;
+      incr i
+    done
+  in
+  scan s.node_props n;
+  scan s.edge_props m;
   let edge_id = Column.to_ints s.edge_id in
   let edge_src = Column.to_ints s.edge_src and edge_tgt = Column.to_ints s.edge_tgt in
   (* out segments sorted by (label, target, id), in segments by (label,
