@@ -75,15 +75,31 @@ let is_sub t l u = l < t.n_types && Char.code (Bytes.get t.sub_bits ((l * t.n_ty
 let is_object t l = l < t.n_types && t.object_at.(l)
 let is_open t l = l < t.n_types && t.open_at.(l)
 
+(* Lookups return a row entry or a shared sentinel, never an option, so
+   a hit allocates nothing. *)
+let no_field =
+  {
+    fi_field = -1;
+    fi_name = "";
+    fi_type_str = "";
+    fi_attr = false;
+    fi_list = false;
+    fi_base = -1;
+    fi_mem = (fun _ _ -> false);
+    fi_args = [||];
+  }
+
+let no_arg = { ai_type_str = ""; ai_mem = (fun _ _ -> false) }
+
 (* Binary search of a field row sorted by [fi_field]. *)
 let field_in (row : field_info array) fsym =
   let lo = ref 0 and hi = ref (Array.length row) in
-  let found = ref None in
+  let found = ref no_field in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     let fi = row.(mid) in
     if fi.fi_field = fsym then begin
-      found := Some fi;
+      found := fi;
       lo := !hi
     end
     else if fi.fi_field < fsym then lo := mid + 1
@@ -91,17 +107,17 @@ let field_in (row : field_info array) fsym =
   done;
   !found
 
-let field t l fsym = if l < t.n_types then field_in t.fields_at.(l) fsym else None
+let field t l fsym = if l < t.n_types then field_in t.fields_at.(l) fsym else no_field
 
 let arg (fi : field_info) asym =
   let row = fi.fi_args in
   let lo = ref 0 and hi = ref (Array.length row) in
-  let found = ref None in
+  let found = ref no_arg in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     let a, info = row.(mid) in
     if a = asym then begin
-      found := Some info;
+      found := info;
       lo := !hi
     end
     else if a < asym then lo := mid + 1

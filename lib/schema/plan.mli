@@ -81,12 +81,22 @@ val is_open : t -> int -> bool
     declared properties but are exempt from SS2 (undeclared properties
     are allowed). *)
 
-val field : t -> int -> int -> field_info option
-(** [field plan l f]: the declaration of field [f] on object or interface
-    type [l] — the compiled [Schema.type_f]. *)
+val no_field : field_info
+(** What {!field} returns for an undeclared field: a shared sentinel,
+    told apart with [==].  It is neither an attribute nor a list and
+    declares no arguments. *)
 
-val arg : field_info -> int -> arg_info option
-(** Compiled [Schema.arg_type]. *)
+val field : t -> int -> int -> field_info
+(** [field plan l f]: the declaration of field [f] on object or interface
+    type [l] — the compiled [Schema.type_f] — or {!no_field}.  A lookup
+    allocates nothing. *)
+
+val no_arg : arg_info
+(** What {!arg} returns for an undeclared argument, told apart with
+    [==]. *)
+
+val arg : field_info -> int -> arg_info
+(** Compiled [Schema.arg_type], or {!no_arg}. *)
 
 val required_at : t -> int -> field_constraint array
 (** The [@required] constraints applying to nodes labelled [l]

@@ -70,8 +70,9 @@ let ws1_node ctx i acc =
   let l = snap.Snapshot.node_label.{i} in
   Props.fold props i
     (fun k pos acc ->
-      match Plan.field ctx.plan l k with
-      | Some fi when fi.Plan.fi_attr ->
+      let fi = Plan.field ctx.plan l k in
+      if not fi.Plan.fi_attr then acc
+      else
         let value = Props.value props pos in
         if fi.Plan.fi_mem ctx.env value then acc
         else
@@ -79,8 +80,7 @@ let ws1_node ctx i acc =
             (Violation.Node_property (snap.Snapshot.node_id.{i}, Plan.name ctx.plan k))
             (Printf.sprintf "value %s is not in valuesW(%s)" (Value.to_string value)
                fi.Plan.fi_type_str)
-          :: acc
-      | Some _ | None -> acc)
+          :: acc)
     acc
 
 (* SS1: all nodes are justified *)
@@ -104,19 +104,19 @@ let ss2_node ctx i acc =
   else
   Props.fold snap.Snapshot.node_props i
     (fun k _ acc ->
-      match Plan.field ctx.plan l k with
-      | Some fi when fi.Plan.fi_attr -> acc
-      | Some _ ->
-        Violation.make Violation.SS2
-          (Violation.Node_property (snap.Snapshot.node_id.{i}, Plan.name ctx.plan k))
-          (Printf.sprintf "field %s.%s is a relationship definition, not an attribute"
-             (Plan.name ctx.plan l) (Plan.name ctx.plan k))
-        :: acc
-      | None ->
+      let fi = Plan.field ctx.plan l k in
+      if fi.Plan.fi_attr then acc
+      else if fi == Plan.no_field then
         Violation.make Violation.SS2
           (Violation.Node_property (snap.Snapshot.node_id.{i}, Plan.name ctx.plan k))
           (Printf.sprintf "no field %S is declared for type %S" (Plan.name ctx.plan k)
              (Plan.name ctx.plan l))
+        :: acc
+      else
+        Violation.make Violation.SS2
+          (Violation.Node_property (snap.Snapshot.node_id.{i}, Plan.name ctx.plan k))
+          (Printf.sprintf "field %s.%s is a relationship definition, not an attribute"
+             (Plan.name ctx.plan l) (Plan.name ctx.plan k))
         :: acc)
     acc
 
@@ -244,8 +244,8 @@ let out_rules ~ws4 ~ds1 ~ds2 ctx i acc =
       let lo0 = !lo and hi0 = !hi in
       (* WS4: the whole label run pairs up if the field is not a list *)
       (if ws4 && hi0 - lo0 >= 2 then
-         match Plan.field ctx.plan l f with
-         | Some fi when not fi.Plan.fi_list ->
+         let fi = Plan.field ctx.plan l f in
+         if fi != Plan.no_field && not fi.Plan.fi_list then begin
            let msg =
              Printf.sprintf
                "node n%d has two %S edges but the field type %s is not a list type" src_id
@@ -262,7 +262,7 @@ let out_rules ~ws4 ~ds1 ~ds2 ctx i acc =
                  :: !acc
              done
            done
-         | Some _ | None -> ());
+         end);
       (* DS1: (label, target) sub-runs *)
       if Array.length drow > 0 && hi0 - lo0 >= 2 then begin
         let a = ref lo0 in
@@ -397,13 +397,14 @@ let ws2_edge ctx j acc =
   if Props.length props j = 0 then acc
   else begin
     let sl = snap.Snapshot.node_label.{snap.Snapshot.edge_src.{j}} in
-    match Plan.field ctx.plan sl snap.Snapshot.edge_label.{j} with
-    | None -> acc
-    | Some fi ->
+    let fi = Plan.field ctx.plan sl snap.Snapshot.edge_label.{j} in
+    if fi == Plan.no_field then acc
+    else
       Props.fold props j
         (fun a pos acc ->
-          match Plan.arg fi a with
-          | Some ai ->
+          let ai = Plan.arg fi a in
+          if ai == Plan.no_arg then acc
+          else
             let value = Props.value props pos in
             if ai.Plan.ai_mem ctx.env value then acc
             else
@@ -411,8 +412,7 @@ let ws2_edge ctx j acc =
                 (Violation.Edge_property (snap.Snapshot.edge_id.{j}, Plan.name ctx.plan a))
                 (Printf.sprintf "value %s is not in valuesW(%s)" (Value.to_string value)
                    ai.Plan.ai_type_str)
-              :: acc
-          | None -> acc)
+              :: acc)
         acc
   end
 
@@ -427,9 +427,8 @@ let ss3_edge ctx j acc =
     let field = Plan.field ctx.plan sl f in
     Props.fold props j
       (fun a _ acc ->
-        match Option.bind field (fun fi -> Plan.arg fi a) with
-        | Some _ -> acc
-        | None ->
+        if Plan.arg field a != Plan.no_arg then acc
+        else
           Violation.make Violation.SS3
             (Violation.Edge_property (snap.Snapshot.edge_id.{j}, Plan.name ctx.plan a))
             (Printf.sprintf "no argument %S is declared for field %s.%s"
@@ -442,8 +441,9 @@ let ss3_edge ctx j acc =
 let ws3_edge ctx j acc =
   let snap = ctx.snap in
   let sl = snap.Snapshot.node_label.{snap.Snapshot.edge_src.{j}} in
-  match Plan.field ctx.plan sl snap.Snapshot.edge_label.{j} with
-  | Some fi ->
+  let fi = Plan.field ctx.plan sl snap.Snapshot.edge_label.{j} in
+  if fi == Plan.no_field then acc
+  else
     let tl = snap.Snapshot.node_label.{snap.Snapshot.edge_tgt.{j}} in
     if Plan.is_sub ctx.plan tl fi.Plan.fi_base then acc
     else
@@ -454,27 +454,26 @@ let ws3_edge ctx j acc =
            (Plan.name ctx.plan tl)
            (Plan.name ctx.plan fi.Plan.fi_base))
       :: acc
-  | None -> acc
 
 (* SS4: all edges are justified *)
 let ss4_edge ctx j acc =
   let snap = ctx.snap in
   let sl = snap.Snapshot.node_label.{snap.Snapshot.edge_src.{j}} in
   let f = snap.Snapshot.edge_label.{j} in
-  match Plan.field ctx.plan sl f with
-  | Some fi when not fi.Plan.fi_attr -> acc
-  | Some _ ->
-    Violation.make Violation.SS4
-      (Violation.Edge snap.Snapshot.edge_id.{j})
-      (Printf.sprintf "field %s.%s is an attribute definition and justifies no edges"
-         (Plan.name ctx.plan sl) (Plan.name ctx.plan f))
-    :: acc
-  | None ->
+  let fi = Plan.field ctx.plan sl f in
+  if fi == Plan.no_field then
     Violation.make Violation.SS4
       (Violation.Edge snap.Snapshot.edge_id.{j})
       (Printf.sprintf "no field %S is declared for type %S" (Plan.name ctx.plan f)
          (Plan.name ctx.plan sl))
     :: acc
+  else if fi.Plan.fi_attr then
+    Violation.make Violation.SS4
+      (Violation.Edge snap.Snapshot.edge_id.{j})
+      (Printf.sprintf "field %s.%s is an attribute definition and justifies no edges"
+         (Plan.name ctx.plan sl) (Plan.name ctx.plan f))
+    :: acc
+  else acc
 
 (* ------------------------------------------------------------------ *)
 (* Slice kernels (Indexed runs one slice, Parallel shards them)         *)
