@@ -469,6 +469,18 @@ let e22_columns ?(st = GP.Symtab.create ()) path = GP.Snapshot.freeze st (e22_lo
 let e22_check plan path =
   GP.Validate.check_snapshot plan (e22_columns ~st:(GP.Plan.symtab plan) path)
 
+(* what `gpgs snapshot build` runs: ingest, freeze, write the snapshot
+   file (durably: temp file, fsync, rename) *)
+let e22_build path =
+  let st = GP.Symtab.create () in
+  let out = Filename.temp_file "gpgs_e22" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      match GP.Snapshot_io.write st (e22_columns ~st path) out with
+      | Ok () -> ()
+      | Error e -> failwith e.GP.Snapshot_io.message)
+
 (* the string-level route: ingest, thaw, stage again and freeze *)
 let e22_thaw path =
   match GP.Pgf.load path with
@@ -491,6 +503,7 @@ let e17_child spec =
     ignore (Sys.opaque_identity (e22_columns path))
   | "columns" -> ignore (Sys.opaque_identity (e22_load_columns path))
   | "thaw" -> ignore (Sys.opaque_identity (e22_thaw path))
+  | "build" -> e22_build path
   | "check" ->
     ignore (Sys.opaque_identity (e22_check (GP.Validate.compile (GP.Social.schema ())) path))
   | "mmap" ->
@@ -820,12 +833,14 @@ let frontend_compile () =
 (* E22 — columnar ingest: the compiled path reads PGF text straight
    into staging columns and freezes those; a string-level consumer
    thaws the columns into a persistent graph, and Snapshot.build of
-   that graph stages it again before the same freeze.  The last row adds
-   the indexed check, which is all a `gpgs validate` of the file does
-   besides compiling the schema.  Minor words are counted on this domain
-   and are deterministic for a given input, so they compare across
-   hosts where wall time cannot.  Peak RSS is a child-process VmHWM
-   delta, as in E17.                                                     *)
+   that graph stages it again before the same freeze.  The +write row
+   is `gpgs snapshot build` of the file; the +check row adds the
+   indexed check, which is all a `gpgs validate` of the file does
+   besides compiling the schema.  MB/s is PGF text (10^6 bytes) per
+   second of the row's wall time.  Minor words are counted on this
+   domain and are deterministic for a given input, so they compare
+   across hosts where wall time cannot.  Peak RSS is a child-process
+   VmHWM delta, as in E17.                                               *)
 
 let columnar_ingest () =
   section "E22: columnar PGF ingest + freeze (wall clock, minor words, peak RSS)";
@@ -839,6 +854,7 @@ let columnar_ingest () =
       ("load_columns", "columns", fun () -> ignore (Sys.opaque_identity (e22_load_columns path)));
       ("load_columns+freeze", "reparse", fun () -> ignore (Sys.opaque_identity (e22_columns path)));
       ("load+build", "thaw", fun () -> ignore (Sys.opaque_identity (e22_thaw path)));
+      ("load_columns+freeze+write", "build", fun () -> e22_build path);
       ( "load_columns+freeze+check",
         "check",
         fun () -> ignore (Sys.opaque_identity (e22_check plan path)) );
@@ -846,13 +862,15 @@ let columnar_ingest () =
   in
   Printf.printf "  input: %d persons, %.1f MB of PGF text\n" persons
     (float_of_int bytes /. 1048576.0);
-  Printf.printf "  %-26s %12s %16s %16s\n" "path" "wall (ms)" "minor (Mwords)" "peak RSS (KiB)";
+  Printf.printf "  %-26s %12s %10s %16s %16s\n" "path" "wall (ms)" "MB/s" "minor (Mwords)"
+    "peak RSS (KiB)";
   List.iter
     (fun (name, mode, f) ->
       let w0 = Gc.minor_words () in
       f ();
       let mwords = (Gc.minor_words () -. w0) /. 1e6 in
       let ms = time_ms f in
+      let mb_per_s = float_of_int bytes /. 1e6 /. (ms /. 1000.0) in
       let rss = rss_delta_kb mode path in
       record "E22"
         [
@@ -860,15 +878,17 @@ let columnar_ingest () =
           ("persons", GP.Json.Int persons);
           ("pgf_bytes", GP.Json.Int bytes);
           ("wall_ms", GP.Json.Float ms);
+          ("pgf_mb_per_s", GP.Json.Float mb_per_s);
           ("minor_mwords", GP.Json.Float mwords);
           ("peak_rss_kib", GP.Json.Int rss);
         ];
-      Printf.printf "  %-26s %12.2f %16.2f %16d\n%!" name ms mwords rss)
+      Printf.printf "  %-26s %12.2f %10.1f %16.2f %16d\n%!" name ms mb_per_s mwords rss)
     stages;
   Sys.remove path;
   Printf.printf
-    "  (load_columns+freeze is what batch, snapshot build and the server's text path\n\
-    \   run; +check is validate's work; load+build is the thawed graph frozen again)\n"
+    "  (load_columns+freeze is what batch and the server's text path run; +write is\n\
+    \   snapshot build; +check is validate's work; load+build is the thawed graph\n\
+    \   frozen again)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E23 — snapshot properties as mapped pools: what reopening a
