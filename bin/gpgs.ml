@@ -327,15 +327,22 @@ let shards_arg =
     & opt (some int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Shard count for the sharded engine (default: the domain count).  With \
-           $(b,--snapshot) the file is mapped and verified once, and each shard then \
-           touches only its own pages of it.")
+          "Shard count for the sharded engine: the nodes and the edges are each cut \
+           into N contiguous ranges of near-equal size, one task per range (default: the \
+           domain count).  The report is the same for every count.")
 
 let engine_arg =
   Arg.(
     value
     & opt engine_conv GP.Validate.Indexed
-    & info [ "engine" ] ~doc:"naive, linear, indexed, parallel, or sharded.")
+    & info [ "engine" ]
+        ~doc:
+          "naive, linear, indexed, parallel, or sharded.  $(b,naive) evaluates the \
+           paper's formulas over strings (the specification); every other engine runs the \
+           compiled rule kernels over contiguous ranges of the nodes and edges: \
+           $(b,linear) and $(b,indexed) as one range on one domain, $(b,parallel) as one \
+           range per domain, $(b,sharded) as $(b,--shards) ranges over $(b,--domains) \
+           domains.  All report the same violations.")
 
 let mode_arg =
   Arg.(value & opt mode_conv GP.Validate.Strong & info [ "mode" ] ~doc:"strong, weak, or directives.")
@@ -346,8 +353,8 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Domains for the parallel and sharded engines (default: all cores; a sharded \
-           check of a $(b,--snapshot) runs on one domain unless given).")
+          "Domains that run the ranges of the parallel and sharded engines (default: all \
+           cores; a sharded check of a $(b,--snapshot) runs on one domain unless given).")
 
 (* One validate pipeline (Validate_request) behind this command, every
    batch job and the served validate op: this adapter only renders its

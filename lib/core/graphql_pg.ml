@@ -28,12 +28,11 @@
     - {!Wrapped}, {!Schema}, {!Subtype}, {!Values_w}, {!Consistency},
       {!Of_ast}, {!To_sdl}, {!Api_extension}, and the compiled validation
       {!Plan} (the formal schema model of Section 4),
-    - {!Violation}, {!Validate} (+ engines {!Naive}, the fused {!Linear},
-      the per-rule {!Indexed}, the multicore {!Parallel} — the latter
-      three consume one compiled plan — and the update-driven
-      {!Incremental}, with {!Governor} budgets and the {!Supervisor} job
-      runner) (the validation semantics of Section 5), and
-      {!Validate_request}, the one validate pipeline behind [gpgs
+    - {!Violation}, {!Validate} (+ the string-level {!Naive} oracle, the
+      one compiled schedule {!Parallel} over the slice kernels, and the
+      update-driven {!Incremental}, with {!Governor} budgets and the
+      {!Supervisor} job runner) (the validation semantics of Section 5),
+      and {!Validate_request}, the one validate pipeline behind [gpgs
       validate], [gpgs batch] and the server,
     - {!Cnf}, {!Dpll}, {!Alcqi}, {!Tableau}, {!Translate}, {!Counting},
       {!Model_search}, {!Reduction}, {!Satisfiability} (the satisfiability
@@ -91,7 +90,6 @@ module Staging = Pg_graph.Staging
 module Snapshot = Pg_graph.Snapshot
 module Snapshot_io = Pg_graph.Snapshot_io
 module Props = Pg_graph.Props
-module Partition = Pg_graph.Partition
 module Wrapped = Pg_schema.Wrapped
 module Schema = Pg_schema.Schema
 module Subtype = Pg_schema.Subtype
@@ -107,8 +105,6 @@ module Supervisor = Pg_validation.Supervisor
 module Violation = Pg_validation.Violation
 module Validate = Pg_validation.Validate
 module Naive = Pg_validation.Naive
-module Linear = Pg_validation.Linear
-module Indexed = Pg_validation.Indexed
 module Parallel = Pg_validation.Parallel
 module Incremental = Pg_validation.Incremental
 module Schema_diff = Pg_validation.Schema_diff

@@ -17,13 +17,11 @@
    edge range [0, snap.m) — except DS7, which groups all nodes per @key
    constraint.
 
-   The same per-element bodies back two engine shapes: per-rule slice
-   kernels ({!Indexed} sequentially, {!Parallel} sharded across domains)
-   and the fused single-pass {!node_pass}/{!edge_pass} used by
-   {!Linear}.  Kernels only read the frozen context, so slices commute
-   and {!Violation.normalize} makes every engine's report identical.
-   {!Incremental} runs them too, on the frozen neighbourhood of the
-   region an update touched. *)
+   {!Parallel} runs the slice kernels over contiguous ranges, the one
+   compiled schedule behind every engine name.  Kernels only read the
+   frozen context, so slices commute and {!Violation.normalize} makes
+   the report independent of the ranges.  {!Incremental} runs them too,
+   on the frozen neighbourhood of the region an update touched. *)
 
 module G = Pg_graph.Property_graph
 module Value = Pg_graph.Value
@@ -46,7 +44,7 @@ let ctx_of_snap ?env ?(gov = Governor.no_run) plan snap =
   let env = Option.value env ~default:Values_w.default_env in
   { plan; snap; env; gov }
 
-(* The rules a pass evaluates: WS (weak), DS (dirs), SS extras (strong). *)
+(* The rules a check evaluates: WS (weak), DS (dirs), SS extras (strong). *)
 type rule_set = { weak : bool; dirs : bool; strong : bool }
 
 type kernel = ctx -> lo:int -> hi:int -> Violation.t list -> Violation.t list
@@ -206,24 +204,8 @@ let ds56_node ctx i acc =
       acc row
   end
 
-(* DS1 scope: which (label, target) sub-runs of a node's out segment the
-   scan reports on.  A sub-run's edges all share one target, so a sub-run
-   is either entirely intra-shard or entirely cross-shard — [Ds1_intra]
-   restricts to targets inside the node's own shard (the shard-local
-   pass), [Ds1_cross] to targets outside it (the frontier pass), and
-   [Ds1_all] is the monolithic engines' unrestricted scan. *)
-type ds1_scope = Ds1_none | Ds1_all | Ds1_intra of int * int | Ds1_cross of int * int
-
-let ds1_in_scope scope tgt =
-  match scope with
-  | Ds1_none -> false
-  | Ds1_all -> true
-  | Ds1_intra (lo, hi) -> tgt >= lo && tgt < hi
-  | Ds1_cross (lo, hi) -> tgt < lo || tgt >= hi
-
-(* WS4 / DS1 / DS2 over the label runs of a node's sorted out segment.
-   The flags let the per-rule kernels and the fused pass share one run
-   scan. *)
+(* WS4 / DS1 / DS2 over the label runs of a node's sorted out segment;
+   the flags select the rule, so the three kernels share one scan body. *)
 let out_rules ~ws4 ~ds1 ~ds2 ctx i acc =
   let snap = ctx.snap in
   let start = snap.Snapshot.out_start.{i} and stop = snap.Snapshot.out_start.{i + 1} in
@@ -231,7 +213,7 @@ let out_rules ~ws4 ~ds1 ~ds2 ctx i acc =
   else begin
     let l = snap.Snapshot.node_label.{i} in
     let src_id = snap.Snapshot.node_id.{i} in
-    let drow = if ds1 <> Ds1_none then Plan.distinct_at ctx.plan l else [||] in
+    let drow = if ds1 then Plan.distinct_at ctx.plan l else [||] in
     let nrow = if ds2 then Plan.no_loops_at ctx.plan l else [||] in
     let acc = ref acc in
     let lo = ref start in
@@ -272,7 +254,7 @@ let out_rules ~ws4 ~ds1 ~ds2 ctx i acc =
           while !b < hi0 && snap.Snapshot.edge_tgt.{snap.Snapshot.out_adj.{!b}} = tgt do
             incr b
           done;
-          if !b - !a >= 2 && ds1_in_scope ds1 tgt then
+          if !b - !a >= 2 then
             Array.iter
               (fun (fc : Plan.field_constraint) ->
                 if fc.Plan.fc_field = f then begin
@@ -324,9 +306,9 @@ let out_rules ~ws4 ~ds1 ~ds2 ctx i acc =
     !acc
   end
 
-let ws4_node ctx i acc = out_rules ~ws4:true ~ds1:Ds1_none ~ds2:false ctx i acc
-let ds1_node ctx i acc = out_rules ~ws4:false ~ds1:Ds1_all ~ds2:false ctx i acc
-let ds2_node ctx i acc = out_rules ~ws4:false ~ds1:Ds1_none ~ds2:true ctx i acc
+let ws4_node ctx i acc = out_rules ~ws4:true ~ds1:false ~ds2:false ctx i acc
+let ds1_node ctx i acc = out_rules ~ws4:false ~ds1:true ~ds2:false ctx i acc
+let ds2_node ctx i acc = out_rules ~ws4:false ~ds1:false ~ds2:true ctx i acc
 
 (* DS3: label runs of the sorted in segment, filtered per constraint to
    sources of the declaring type *)
@@ -476,7 +458,7 @@ let ss4_edge ctx j acc =
   else acc
 
 (* ------------------------------------------------------------------ *)
-(* Slice kernels (Indexed runs one slice, Parallel shards them)         *)
+(* Slice kernels (Parallel runs them over contiguous ranges)            *)
 
 (* Ungoverned runs ([Governor.no_run], the default) take the tight
    for-loop — exactly the pre-governor code path, so their reports and
@@ -648,111 +630,3 @@ let ds7_all ctx acc =
   let acc = ref acc in
   Array.iteri (fun k key -> acc := ds7_in t ctx key ~candidates:counts.(k) !acc) keys;
   !acc
-
-(* ------------------------------------------------------------------ *)
-(* Fused passes (the Linear engine: everything about one element in one
-   visit, sharing the run scans between WS4, DS1 and DS2)               *)
-
-let node_pass ctx rs i acc =
-  let acc = if rs.weak then ws1_node ctx i acc else acc in
-  let acc =
-    if rs.weak || rs.dirs then
-      out_rules ~ws4:rs.weak
-        ~ds1:(if rs.dirs then Ds1_all else Ds1_none)
-        ~ds2:rs.dirs ctx i acc
-    else acc
-  in
-  let acc = if rs.dirs then ds56_node ctx i (ds4_node ctx i (ds3_node ctx i acc)) else acc in
-  if rs.strong then ss2_node ctx i (ss1_node ctx i acc) else acc
-
-let edge_pass ctx rs j acc =
-  let acc = if rs.weak then ws3_edge ctx j (ws2_edge ctx j acc) else acc in
-  if rs.strong then ss4_edge ctx j (ss3_edge ctx j acc) else acc
-
-(* ------------------------------------------------------------------ *)
-(* Shard-local and frontier passes (the sharded engine family)          *)
-
-module Partition = Pg_graph.Partition
-
-(* Everything about node i that needs no other shard's state: WS1, SS1,
-   SS2 and DS5/DS6 read only the node's own row and owned out segment;
-   WS4 and DS2 read only owned out-edges; DS1 is restricted to the
-   (label, target) sub-runs whose target lies inside the shard.  DS3 and
-   DS4 read the in segment, so they stay local only when no in-edge
-   crosses a shard boundary and defer to the frontier pass otherwise. *)
-let local_node_body ctx part rs ~lo ~hi i acc =
-  let acc = if rs.weak then ws1_node ctx i acc else acc in
-  let acc =
-    if rs.weak || rs.dirs then
-      out_rules ~ws4:rs.weak
-        ~ds1:(if rs.dirs then Ds1_intra (lo, hi) else Ds1_none)
-        ~ds2:rs.dirs ctx i acc
-    else acc
-  in
-  let acc =
-    if rs.dirs then begin
-      let acc =
-        if Partition.has_cross_in part i then acc
-        else ds4_node ctx i (ds3_node ctx i acc)
-      in
-      ds56_node ctx i acc
-    end
-    else acc
-  in
-  if rs.strong then ss2_node ctx i (ss1_node ctx i acc) else acc
-
-let shard_local ctx part s rs acc =
-  let sh = Partition.shard part s in
-  let lo = sh.Partition.node_lo and hi = sh.Partition.node_hi in
-  let acc =
-    over_range_noting Governor.note_node_scans
-      (fun ctx i acc -> local_node_body ctx part rs ~lo ~hi i acc)
-      ctx ~lo ~hi acc
-  in
-  if not (rs.weak || rs.strong) then acc
-  else begin
-    (* owned intra edges, iterated through the shard's rebased CSR slice
-       (the sub-view aliases the snapshot's storage — zero copies) *)
-    let adj = sh.Partition.out_adj in
-    let snap = ctx.snap in
-    over_range_noting Governor.note_edge_scans
-      (fun ctx k acc ->
-        let e = adj.{k} in
-        let t = snap.Snapshot.edge_tgt.{e} in
-        if t >= lo && t < hi then edge_pass ctx rs e acc else acc)
-      ctx ~lo:0 ~hi:(Bigarray.Array1.dim adj) acc
-  end
-
-(* The cross-shard complement: DS1 sub-runs with remote targets, DS3/DS4
-   for nodes with at least one cross-shard in-edge, and the per-edge
-   rules on the frontier edges themselves.  Together with [shard_local]
-   every rule instance is computed exactly once, so the merged report
-   equals the monolithic engines' after {!Violation.normalize}. *)
-let frontier ctx part rs acc =
-  let acc =
-    if rs.dirs then begin
-      let fo = Partition.frontier_out_nodes part in
-      let acc =
-        over_range_noting Governor.note_node_scans
-          (fun ctx x acc ->
-            let i = fo.(x) in
-            let lo, hi = Partition.bounds_of_node part i in
-            out_rules ~ws4:false ~ds1:(Ds1_cross (lo, hi)) ~ds2:false ctx i acc)
-          ctx ~lo:0 ~hi:(Array.length fo) acc
-      in
-      let fi = Partition.frontier_in_nodes part in
-      over_range_noting Governor.note_node_scans
-        (fun ctx x acc ->
-          let i = fi.(x) in
-          ds4_node ctx i (ds3_node ctx i acc))
-        ctx ~lo:0 ~hi:(Array.length fi) acc
-    end
-    else acc
-  in
-  if not (rs.weak || rs.strong) then acc
-  else begin
-    let fe = Partition.frontier_edges part in
-    over_range_noting Governor.note_edge_scans
-      (fun ctx x acc -> edge_pass ctx rs fe.(x) acc)
-      ctx ~lo:0 ~hi:(Array.length fe) acc
-  end

@@ -7,24 +7,19 @@
     scans over the snapshot's sorted CSR segments — with strings
     materialized only for reported violations.
 
-    Two consumption shapes share the same per-element rule bodies:
-
-    - {e per-rule slice kernels} ([ws1] … [ss4], {!ds7_all}): each
-      covers one rule over a sub-range of the node range [\[0, n)] or
-      edge range [\[0, m)], except DS7, which groups all nodes.
-      {!Indexed} runs full ranges sequentially; {!Parallel} runs them
-      over node-range shards across domains.  Kernels only
-      read the frozen context, so slices commute and
-      {!Violation.normalize} yields the same report for any schedule.
-    - {e fused passes} ({!node_pass}/{!edge_pass}): everything the rule
-      set says about one element in a single visit — the {!Linear}
-      engine's one-pass shape.
+    Each rule is a {e slice kernel} ([ws1] … [ss4]) over a sub-range of
+    the node range [\[0, n)] or the edge range [\[0, m)], except DS7
+    ({!ds7_all}), which groups all nodes.  Kernels only read the frozen
+    context, so slices commute and {!Violation.normalize} yields the
+    same report for any cut of the ranges.  {!Parallel} runs them over
+    contiguous ranges: it is the one compiled schedule, behind every
+    compiled engine name.
 
     These bodies are the only compiled implementation of the rules:
     {!Incremental} re-checks the region an update touched by freezing
-    its neighbourhood into a small snapshot and running {!Indexed} on
-    it; the string-level {!Naive} engine is the specification they are
-    tested against. *)
+    its neighbourhood into a small snapshot and running them on it; the
+    string-level {!Naive} engine is the specification they are tested
+    against. *)
 
 type ctx = {
   plan : Pg_schema.Plan.t;
@@ -52,7 +47,7 @@ val ctx_of_snap :
     unmetered. *)
 
 type rule_set = { weak : bool; dirs : bool; strong : bool }
-(** Which rule families a pass evaluates: WS1–WS4 ([weak]), DS1–DS7
+(** Which rule families a check evaluates: WS1–WS4 ([weak]), DS1–DS7
     ([dirs]), SS1–SS4 ([strong]). *)
 
 type kernel = ctx -> lo:int -> hi:int -> Violation.t list -> Violation.t list
@@ -100,37 +95,7 @@ val ss3 : kernel
 val ss4 : kernel
 (** edge labels are declared relationships; universe: edges *)
 
-(** {1 Shard-local and frontier passes}
-
-    The sharded engine family splits the rules by locality against a
-    {!Pg_graph.Partition}: {!shard_local} evaluates everything about a
-    shard that needs no other shard's state (WS1–WS4, SS1–SS2, DS5/DS6,
-    intra-shard DS1–DS4 and the per-edge rules on owned intra edges),
-    and {!frontier} evaluates the cross-shard complement (DS1 sub-runs
-    with remote targets, DS3/DS4 for nodes with cross-shard in-edges,
-    WS2/WS3/SS3/SS4 on the frontier edges).  Every rule instance is
-    computed exactly once across the two, so the union — plus
-    {!ds7_all} over the whole node range — normalizes to a report
-    byte-identical to {!Indexed}'s for every shard count. *)
-
-val shard_local :
-  ctx -> Pg_graph.Partition.t -> int -> rule_set -> Violation.t list -> Violation.t list
-(** The shard-local pass over shard [s]: its node range through the
-    fused per-node body, then its owned intra edges through the shard's
-    rebased CSR sub-view. *)
-
-val frontier :
-  ctx -> Pg_graph.Partition.t -> rule_set -> Violation.t list -> Violation.t list
-(** The cross-shard pass, run once after every shard-local pass. *)
-
-(** {1 Fused passes} *)
-
-val node_pass : ctx -> rule_set -> int -> Violation.t list -> Violation.t list
-(** All selected per-node rules on node [i], sharing one scan of the
-    node's CSR segments (WS1, WS4, DS1–DS6, SS1, SS2). *)
-
-val edge_pass : ctx -> rule_set -> int -> Violation.t list -> Violation.t list
-(** All selected per-edge rules on edge [j] (WS2, WS3, SS3, SS4). *)
+(** {1 Key grouping} *)
 
 val ds7_all : ctx -> Violation.t list -> Violation.t list
 (** Every [@key] constraint (DS7) over all nodes, one after the other.

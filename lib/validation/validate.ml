@@ -60,8 +60,9 @@ let check_naive ~mode ?env ~gov sch g =
    from disk): the compiled engines never touch the raw graph, only the
    ctx.  Naive is the one engine that cannot — it is a string-level
    oracle over the original Property_graph text, which a snapshot does
-   not retain.  [Parallel] is the sharded engine with one shard per
-   domain. *)
+   not retain.  Every compiled engine name runs the one schedule:
+   [Linear] and [Indexed] as one range on the calling domain, [Parallel]
+   with one range per domain. *)
 let check_snapshot ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
     ?(gov = Governor.unlimited) plan snap =
   let run = Governor.start gov in
@@ -72,8 +73,7 @@ let check_snapshot ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
     | Naive ->
       invalid_arg
         "Validate.check_snapshot: the naive engine needs the source graph, not a snapshot"
-    | Linear -> Linear.check ctx rs
-    | Indexed -> Indexed.check ctx rs
+    | Linear | Indexed -> Parallel.check_sharded ~domains:1 ~shards:1 ctx rs
     | Parallel -> Parallel.check_sharded ?domains ?shards:domains ctx rs
     | Sharded -> Parallel.check_sharded ?domains ?shards ctx rs
   in

@@ -14,17 +14,17 @@
 
 type engine =
   | Naive  (** string-level executable specification; quadratic pair rules *)
-  | Linear  (** compiled, fused single pass per node/edge *)
-  | Indexed  (** compiled, one slice kernel per rule; near-linear *)
+  | Linear  (** runs what [Indexed] runs; the report names [linear] *)
+  | Indexed
+      (** the compiled slice kernels over one range of the nodes and one
+          of the edges, on the calling domain; near-linear *)
   | Parallel
-      (** the compiled kernels sharded across OCaml 5 domains; reports
-          are byte-identical to [Linear] and [Indexed] *)
+      (** the compiled slice kernels over one range per domain, across
+          OCaml 5 domains: [Sharded] with shards = domains *)
   | Sharded
-      (** owner-computes over an explicit {!Pg_graph.Partition}: one
-          task per node-range shard plus a cross-shard frontier pass,
-          with the shard count decoupled from the domain count
-          ([shards]); reports are byte-identical to [Indexed] for every
-          shard/domain combination *)
+      (** the compiled slice kernels over [shards] contiguous ranges,
+          drained across [domains] domains ({!Parallel.check_sharded});
+          the report is the same for every shard and domain count *)
 
 type mode =
   | Weak  (** Definition 5.1: WS1–WS4 *)
@@ -43,10 +43,10 @@ type report = {
   nodes_scanned : int;
   edges_scanned : int;
       (** element visits completed before the run (if budgeted) stopped.
-          Per-rule engines ([Indexed], [Parallel], and [Naive]) visit an
-          element once per applicable rule, so a complete run reports
-          more visits than elements; with no budget both equal the graph
-          totals. *)
+          Every engine visits an element once per applicable rule (the
+          compiled ones once per rule per element, whatever the shard
+          count), so a complete run reports more visits than elements;
+          with no budget both equal the graph totals. *)
   mode : mode;
   engine : engine;
 }
