@@ -176,88 +176,20 @@ let validation_scaling () =
     \   the indexed engine is near-linear)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E15 — the multicore engine: naive vs indexed vs parallel, scaling in
-   graph size and in domain count (wall clock — see time_ms)            *)
-
-let parallel_scaling () =
-  section "E15: multicore validation — naive vs indexed vs parallel (wall clock)";
-  let sch = GP.Social.schema () in
-  let host_domains = Domain.recommended_domain_count () in
-  Printf.printf "  host: %d recommended domain(s)\n" host_domains;
-  (* graph-size scaling at a fixed domain count *)
-  let sizes = if fast then [ 200; 1000 ] else [ 1000; 4000; 10000; 20000 ] in
-  let fixed_domains = max 4 host_domains in
-  Printf.printf "  %-8s %-8s %-8s %12s %12s %12s %9s\n" "persons" "nodes" "edges"
-    "naive (ms)" "indexed (ms)"
-    (Printf.sprintf "par-%d (ms)" fixed_domains)
-    "idx/par";
-  List.iter
-    (fun persons ->
-      let g = GP.Social.generate ~persons () in
-      let nodes = GP.Property_graph.node_count g
-      and edges = GP.Property_graph.edge_count g in
-      let naive_cutoff = if fast then 200 else 1000 in
-      let naive_ms =
-        if persons <= naive_cutoff then
-          Some (time_ms ~repeat:1 (fun () -> GP.Validate.check ~engine:GP.Validate.Naive sch g))
-        else None
-      in
-      let indexed_ms =
-        time_ms (fun () -> GP.Validate.check ~engine:GP.Validate.Indexed sch g)
-      in
-      let par_ms =
-        time_ms (fun () ->
-            GP.Validate.check ~engine:GP.Validate.Parallel ~domains:fixed_domains sch g)
-      in
-      record "E15"
-        ([
-           ("persons", GP.Json.Int persons);
-           ("nodes", GP.Json.Int nodes);
-           ("edges", GP.Json.Int edges);
-           ("indexed_ms", GP.Json.Float indexed_ms);
-           ("parallel_ms", GP.Json.Float par_ms);
-           ("domains", GP.Json.Int fixed_domains);
-         ]
-        @ match naive_ms with Some ms -> [ ("naive_ms", GP.Json.Float ms) ] | None -> []);
-      Printf.printf "  %-8d %-8d %-8d %12s %12.2f %12.2f %8.2fx\n%!" persons nodes edges
-        (match naive_ms with Some ms -> Printf.sprintf "%.2f" ms | None -> "-")
-        indexed_ms par_ms (indexed_ms /. par_ms))
-    sizes;
-  (* domain-count scaling at the largest size *)
-  let persons = List.fold_left max 0 sizes in
-  let g = GP.Social.generate ~persons () in
-  let indexed_ms =
-    time_ms (fun () -> GP.Validate.check ~engine:GP.Validate.Indexed sch g)
-  in
-  Printf.printf "  domain sweep at %d persons (indexed baseline %.2f ms):\n" persons
-    indexed_ms;
-  let counts = if fast then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  List.iter
-    (fun domains ->
-      let ms =
-        time_ms (fun () ->
-            GP.Validate.check ~engine:GP.Validate.Parallel ~domains sch g)
-      in
-      Printf.printf "  %8d domain(s) %12.2f ms %8.2fx vs indexed\n%!" domains ms
-        (indexed_ms /. ms))
-    counts;
-  if host_domains < 4 then
-    Printf.printf
-      "  (host has %d core(s); domain counts above it measure scheduling overhead,\n\
-      \   not speedup — rerun on a multicore host for the scaling curve)\n"
-      host_domains
-
-(* ------------------------------------------------------------------ *)
-(* E19 — the sharded engine: the E15 domain sweep re-run over explicit
-   partitions, a shard sweep at a fixed domain count, and the streaming
-   out-of-core pipeline over a mapped snapshot.  Every configuration's
-   report is asserted byte-identical to the indexed engine's.            *)
+(* E19 — the one compiled schedule over contiguous ranges: a domain
+   sweep with shards = domains (what the parallel engine runs), a shard
+   sweep at the host's domain count, both over one frozen snapshot, and
+   the path over a mapped snapshot file.  Each configuration runs once
+   untimed, its report asserted byte-identical to the indexed engine's,
+   before its seven timed runs (the median is reported), so that no row
+   pays for the row before it.  Wall clock (see time_ms): CPU time would
+   sum across domains.                                                   *)
 
 let sharded_scaling () =
-  section "E19: sharded validation — indexed vs parallel vs sharded (wall clock)";
+  section "E19: the compiled schedule over ranges — indexed vs sharded (wall clock)";
   let sch = GP.Social.schema () in
-  let host_domains = Domain.recommended_domain_count () in
-  Printf.printf "  host: %d recommended domain(s)\n" host_domains;
+  let cores = Domain.recommended_domain_count () in
+  Printf.printf "  host: %d recommended domain(s)\n" cores;
   let persons = if fast then 1000 else 20000 in
   let g = GP.Social.generate ~persons () in
   let nodes = GP.Property_graph.node_count g
@@ -265,79 +197,55 @@ let sharded_scaling () =
   let rendered report =
     List.map GP.Violation.to_string report.GP.Validate.violations
   in
-  let indexed_report = GP.Validate.check ~engine:GP.Validate.Indexed sch g in
-  let baseline = rendered indexed_report in
-  let assert_identical what report =
-    if not (List.equal String.equal baseline (rendered report)) then
-      failwith (Printf.sprintf "E19: %s diverged from the indexed report" what)
+  let plan = GP.Validate.compile sch in
+  let snap = GP.Snapshot.build (GP.Plan.symtab plan) g in
+  let check engine ?domains ?shards () =
+    GP.Validate.check_snapshot ~engine ?domains ?shards plan snap
   in
-  let indexed_ms =
-    time_ms (fun () -> GP.Validate.check ~engine:GP.Validate.Indexed sch g)
+  let baseline = rendered (GP.Validate.check ~engine:GP.Validate.Indexed sch g) in
+  let timed what f =
+    if not (List.equal String.equal baseline (rendered (f ()))) then
+      failwith (Printf.sprintf "E19: %s diverged from the indexed report" what);
+    time_ms ~repeat:7 f
   in
-  Printf.printf "  %d persons (%d nodes, %d edges); indexed baseline %.2f ms\n" persons
-    nodes edges indexed_ms;
-  (* the E15 domain sweep, sharded vs parallel, shards = domains *)
+  let indexed_ms = timed "indexed" (check GP.Validate.Indexed) in
+  Printf.printf "  %d persons (%d nodes, %d edges); indexed check of the snapshot %.2f ms\n"
+    persons nodes edges indexed_ms;
+  let sharded ~domains ~shards = check GP.Validate.Sharded ~domains ~shards in
+  let row series ~domains ~shards fields =
+    record "E19"
+      ([
+         ("series", GP.Json.String series);
+         ("persons", GP.Json.Int persons);
+         ("nodes", GP.Json.Int nodes);
+         ("edges", GP.Json.Int edges);
+         ("cores", GP.Json.Int cores);
+         ("domains", GP.Json.Int domains);
+         ("shards", GP.Json.Int shards);
+         ("indexed_ms", GP.Json.Float indexed_ms);
+       ]
+      @ fields)
+  in
+  let print what ms = Printf.printf "  %-38s %10.2f %8.2fx\n%!" what ms (indexed_ms /. ms) in
+  Printf.printf "  %-38s %10s %9s\n" "configuration" "time (ms)" "idx/this";
   let counts = if fast then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  Printf.printf "  %-22s %12s %12s %9s\n" "configuration" "par (ms)" "shard (ms)"
-    "idx/shard";
   List.iter
     (fun domains ->
-      let par_ms =
-        time_ms (fun () ->
-            GP.Validate.check ~engine:GP.Validate.Parallel ~domains sch g)
-      in
-      let sharded_ms =
-        time_ms (fun () ->
-            GP.Validate.check ~engine:GP.Validate.Sharded ~domains sch g)
-      in
-      assert_identical
-        (Printf.sprintf "sharded domains=%d" domains)
-        (GP.Validate.check ~engine:GP.Validate.Sharded ~domains sch g);
-      record "E19"
-        [
-          ("series", GP.Json.String "domain_sweep");
-          ("persons", GP.Json.Int persons);
-          ("nodes", GP.Json.Int nodes);
-          ("edges", GP.Json.Int edges);
-          ("domains", GP.Json.Int domains);
-          ("shards", GP.Json.Int domains);
-          ("indexed_ms", GP.Json.Float indexed_ms);
-          ("parallel_ms", GP.Json.Float par_ms);
-          ("sharded_ms", GP.Json.Float sharded_ms);
-        ];
-      Printf.printf "  %-22s %12.2f %12.2f %8.2fx\n%!"
-        (Printf.sprintf "domains=shards=%d" domains)
-        par_ms sharded_ms (indexed_ms /. sharded_ms))
+      let what = Printf.sprintf "domains=shards=%d" domains in
+      let ms = timed what (sharded ~domains ~shards:domains) in
+      row "domain_sweep" ~domains ~shards:domains [ ("sharded_ms", GP.Json.Float ms) ];
+      print what ms)
     counts;
-  (* shard sweep at a fixed domain count: more shards than domains bounds
-     the per-task working set; the report must not change *)
+  (* more shards than domains: smaller tasks, the same report *)
   let shard_counts = if fast then [ 1; 3; 8 ] else [ 1; 2; 4; 8; 16 ] in
   List.iter
     (fun shards ->
-      let ms =
-        time_ms (fun () ->
-            GP.Validate.check ~engine:GP.Validate.Sharded ~domains:host_domains ~shards
-              sch g)
-      in
-      assert_identical
-        (Printf.sprintf "sharded shards=%d" shards)
-        (GP.Validate.check ~engine:GP.Validate.Sharded ~domains:host_domains ~shards sch g);
-      record "E19"
-        [
-          ("series", GP.Json.String "shard_sweep");
-          ("persons", GP.Json.Int persons);
-          ("domains", GP.Json.Int host_domains);
-          ("shards", GP.Json.Int shards);
-          ("indexed_ms", GP.Json.Float indexed_ms);
-          ("sharded_ms", GP.Json.Float ms);
-        ];
-      Printf.printf "  %-22s %12s %12.2f %8.2fx\n%!"
-        (Printf.sprintf "domains=%d shards=%d" host_domains shards)
-        "" ms (indexed_ms /. ms))
+      let what = Printf.sprintf "domains=%d shards=%d" cores shards in
+      let ms = timed what (sharded ~domains:cores ~shards) in
+      row "shard_sweep" ~domains:cores ~shards [ ("sharded_ms", GP.Json.Float ms) ];
+      print what ms)
     shard_counts;
-  (* the streaming out-of-core pipeline over a mapped snapshot *)
-  let plan = GP.Validate.compile sch in
-  let snap = GP.Snapshot.build (GP.Plan.symtab plan) g in
+  (* the snapshot file, mapped, checked on one domain and closed *)
   let path = Filename.temp_file "gpgs_e19" ".snap" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -345,39 +253,30 @@ let sharded_scaling () =
       (match GP.Snapshot_io.write (GP.Plan.symtab plan) snap path with
       | Ok () -> ()
       | Error e -> failwith ("E19: snapshot write failed: " ^ e.GP.Snapshot_io.message));
+      let mapped shards () =
+        match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) path with
+        | Error e -> failwith ("E19: open_mapped: " ^ e.GP.Snapshot_io.message)
+        | Ok md ->
+          Fun.protect
+            ~finally:(fun () -> GP.Snapshot_io.close_mapped md)
+            (fun () ->
+              match GP.Validate.check_mapped ~shards plan md with
+              | Ok report -> report
+              | Error e -> failwith ("E19: check_mapped: " ^ e.GP.Snapshot_io.message))
+      in
       List.iter
         (fun shards ->
-          let ms =
-            time_ms (fun () ->
-                match GP.Snapshot_io.open_mapped (GP.Plan.symtab plan) path with
-                | Error e -> failwith ("E19: open_mapped: " ^ e.GP.Snapshot_io.message)
-                | Ok md ->
-                  Fun.protect
-                    ~finally:(fun () -> GP.Snapshot_io.close_mapped md)
-                    (fun () ->
-                      match GP.Validate.check_mapped ~shards plan md with
-                      | Ok report -> assert_identical "mapped stream" report
-                      | Error e ->
-                        failwith ("E19: check_mapped: " ^ e.GP.Snapshot_io.message)))
-          in
-          record "E19"
-            [
-              ("series", GP.Json.String "mapped_stream");
-              ("persons", GP.Json.Int persons);
-              ("shards", GP.Json.Int shards);
-              ("indexed_ms", GP.Json.Float indexed_ms);
-              ("stream_ms", GP.Json.Float ms);
-            ];
-          Printf.printf "  %-22s %12s %12.2f %8.2fx  (open+validate+close)\n%!"
-            (Printf.sprintf "mapped shards=%d" shards)
-            "" ms (indexed_ms /. ms))
+          let what = Printf.sprintf "mapped shards=%d (open+check+close)" shards in
+          let ms = timed what (mapped shards) in
+          row "mapped_stream" ~domains:1 ~shards [ ("stream_ms", GP.Json.Float ms) ];
+          print what ms)
         shard_counts);
   Printf.printf "  reports byte-identical to indexed across every configuration\n"
 
 (* ------------------------------------------------------------------ *)
 (* E16 — the compiled pipeline: schema plan compiled once, snapshot +
-   integer kernels per run.  Isolates compile cost from per-run cost and
-   compares the fused single-pass engine with the per-rule slicing one.  *)
+   integer kernels per run.  Isolates compile cost from per-run cost, on
+   one domain (indexed) and on every core (parallel).                    *)
 
 let compiled_pipeline () =
   section "E16: compiled validation — plan reuse across runs (wall clock)";
@@ -387,8 +286,8 @@ let compiled_pipeline () =
   Printf.printf "  Plan.compile (social schema): %.3f ms, %d interned symbols\n" compile_ms
     (GP.Symtab.size (GP.Plan.symtab plan));
   let sizes = if fast then [ 200; 1000 ] else [ 1000; 4000; 10000; 20000 ] in
-  Printf.printf "  %-8s %-8s %-8s %12s %12s %12s %12s\n" "persons" "nodes" "edges"
-    "linear (ms)" "indexed (ms)" "par (ms)" "snapshot";
+  Printf.printf "  %-8s %-8s %-8s %12s %12s %12s\n" "persons" "nodes" "edges"
+    "indexed (ms)" "par (ms)" "snapshot";
   List.iter
     (fun persons ->
       let g = GP.Social.generate ~persons () in
@@ -400,7 +299,6 @@ let compiled_pipeline () =
       let snapshot_ms =
         time_ms (fun () -> GP.Snapshot.build (GP.Plan.symtab plan) g)
       in
-      let linear_ms = run GP.Validate.Linear in
       let indexed_ms = run GP.Validate.Indexed in
       let par_ms = run GP.Validate.Parallel in
       record "E16"
@@ -408,13 +306,12 @@ let compiled_pipeline () =
           ("persons", GP.Json.Int persons);
           ("nodes", GP.Json.Int nodes);
           ("edges", GP.Json.Int edges);
-          ("linear_ms", GP.Json.Float linear_ms);
           ("indexed_ms", GP.Json.Float indexed_ms);
           ("parallel_ms", GP.Json.Float par_ms);
           ("snapshot_build_ms", GP.Json.Float snapshot_ms);
         ];
-      Printf.printf "  %-8d %-8d %-8d %12.2f %12.2f %12.2f %9.2f ms\n%!" persons nodes
-        edges linear_ms indexed_ms par_ms snapshot_ms)
+      Printf.printf "  %-8d %-8d %-8d %12.2f %12.2f %9.2f ms\n%!" persons nodes edges
+        indexed_ms par_ms snapshot_ms)
     sizes;
   Printf.printf
     "  (check_compiled reuses the schema plan; \"snapshot\" is the per-run cost of\n\
@@ -426,7 +323,7 @@ let compiled_pipeline () =
    into one string first.  Peak RSS is measured per strategy in a
    fresh child process — VmHWM is a per-process high-water mark, so an
    in-process reading after the earlier experiments would only show
-   their peak, and Unix.fork is unavailable once E15 has spawned
+   their peak, and Unix.fork is unavailable once E16 has spawned
    domains.  The bench re-executes itself with E17_LOAD=mode:path set;
    the child performs just that one load and prints its VmHWM growth.  *)
 
@@ -1318,18 +1215,11 @@ type OT1 { g: OT3! @required @uniqueForTarget }
         (Staged.stage (fun () -> GP.Validate.check ~engine:GP.Validate.Indexed sch g300));
       Test.make ~name:"e7_validate_naive_60"
         (Staged.stage (fun () -> GP.Validate.check ~engine:GP.Validate.Naive sch g60));
-      (* E15 *)
-      Test.make ~name:"e15_validate_parallel_300"
-        (Staged.stage (fun () -> GP.Validate.check ~engine:GP.Validate.Parallel sch g300));
       (* E16 *)
       Test.make ~name:"e16_validate_compiled_indexed_300"
         (Staged.stage
            (let plan = GP.Validate.compile sch in
             fun () -> GP.Validate.check_compiled ~engine:GP.Validate.Indexed plan g300));
-      Test.make ~name:"e16_validate_compiled_linear_300"
-        (Staged.stage
-           (let plan = GP.Validate.compile sch in
-            fun () -> GP.Validate.check_compiled ~engine:GP.Validate.Linear plan g300));
       Test.make ~name:"e16_snapshot_build_300"
         (Staged.stage
            (let plan = GP.Validate.compile sch in
@@ -1401,7 +1291,6 @@ let experiments =
   [
     ("E3", cardinality_table);
     ("E7", validation_scaling);
-    ("E15", parallel_scaling);
     ("E16", compiled_pipeline);
     ("E17", streaming_ingestion);
     ("E18", snapshot_reopen);
