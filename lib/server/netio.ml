@@ -9,9 +9,12 @@
 
 module Retry = Graphql_pg.Retry
 
-type conn = { fd : Unix.file_descr; pending : Buffer.t }
+(* [chunk] is the connection's one read buffer: a connection has one
+   reader, and 8 KiB is past the minor heap's size limit, so a chunk per
+   read would be a major-heap block per frame. *)
+type conn = { fd : Unix.file_descr; pending : Buffer.t; chunk : Bytes.t }
 
-let conn fd = { fd; pending = Buffer.create 256 }
+let conn fd = { fd; pending = Buffer.create 256; chunk = Bytes.create 8192 }
 
 type frame =
   | Frame of string
@@ -38,7 +41,7 @@ let take_line c =
     Some line
 
 let read_frame ?(max_bytes = 1 lsl 20) ?(timeout_s = infinity) ?(should_stop = fun () -> false) c =
-  let chunk = Bytes.create 8192 in
+  let chunk = c.chunk in
   let start = Unix.gettimeofday () in
   let rec loop () =
     match take_line c with

@@ -11,8 +11,9 @@
     instead of killing the daemon. *)
 
 type conn
-(** One connection's read state: the descriptor plus any bytes received
-    beyond the last complete frame. *)
+(** One connection's read state: the descriptor, any bytes received
+    beyond the last complete frame, and the one read buffer its reads
+    share.  A [conn] has one reader at a time. *)
 
 val conn : Unix.file_descr -> conn
 
