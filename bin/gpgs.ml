@@ -884,7 +884,13 @@ let serve_cmd =
   let workers_arg =
     Arg.(
       value & opt int 4
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains; each serves one connection at a time.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:
+            "Connections served at once, each by one worker to its end.  The first worker \
+             runs on the accepting domain; a connection that finds every worker busy starts \
+             a worker domain, up to the host's recommended domain count, and past it a \
+             thread on the accepting domain.  A worker domain ends when its connection \
+             closes and none is waiting.")
   in
   let max_pending_arg =
     Arg.(
