@@ -289,6 +289,26 @@ let test_report_counts () =
   Alcotest.(check int) "nodes counted" 2 r.Val.nodes_checked;
   Alcotest.(check int) "edges counted" 1 r.Val.edges_checked
 
+(* The subject text of every constructor, pinned literally; property
+   names print as OCaml string literals. *)
+let test_subject_text () =
+  let check = Alcotest.(check string) in
+  check "node" "node n3" (Vi.subject_to_string (Vi.Node 3));
+  check "edge" "edge e0" (Vi.subject_to_string (Vi.Edge 0));
+  check "node property" {|property "age" of node n12|}
+    (Vi.subject_to_string (Vi.Node_property (12, "age")));
+  check "edge property" {|property "since" of edge e7|}
+    (Vi.subject_to_string (Vi.Edge_property (7, "since")));
+  check "escaped property name" {|property "a\"b\\c\233\n" of node n1|}
+    (Vi.subject_to_string (Vi.Node_property (1, "a\"b\\c\xe9\n")));
+  check "escaped edge property name" {|property "\t\"" of edge e2|}
+    (Vi.subject_to_string (Vi.Edge_property (2, "\t\"")));
+  check "node pair" "nodes n5 and n4" (Vi.subject_to_string (Vi.Node_pair (5, 4)));
+  check "edge pair" "edges e8 and e9" (Vi.subject_to_string (Vi.Edge_pair (8, 9)));
+  check "in a violation's text"
+    {|[WS2] property "x\"" of edge e3: m (edge properties must be of the required type)|}
+    (Vi.to_string (Vi.make Vi.WS2 (Vi.Edge_property (3, "x\"")) "m"))
+
 let suite =
   [
     Alcotest.test_case "conformant graph" `Quick test_conformant;
@@ -313,4 +333,5 @@ let suite =
     Alcotest.test_case "modes partition the rules" `Quick test_modes_partition_rules;
     Alcotest.test_case "empty graph" `Quick test_empty_graph_conforms;
     Alcotest.test_case "report counts" `Quick test_report_counts;
+    Alcotest.test_case "violation subject text" `Quick test_subject_text;
   ]
