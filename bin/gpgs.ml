@@ -53,8 +53,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> In_channel.input_all ic)
 
+(* Streamed to stdout one diagnostic at a time: a report of thousands
+   is never a tree or a string in memory. *)
 let emit_json ~command ?summary ?cls diags =
-  print_endline (GP.Diag_report.to_string (GP.Diag_report.envelope ~command ?summary ?cls diags))
+  let w = GP.Json.writer ~indent:true (Bytes.create 65536) (output stdout) in
+  GP.Diag_report.write_envelope w ~command ?summary ?cls diags;
+  GP.Json.end_line w;
+  flush stdout
 
 (* End a report command: in json mode print the envelope, then exit with
    the code the diagnostics classify to (0 needs no explicit exit). *)

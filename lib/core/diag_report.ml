@@ -12,6 +12,9 @@ module Json = Pg_json.Json
 let envelope ~command ?summary ?cls diagnostics =
   Diag.envelope ~tool:"gpgs" ~command ?summary ?cls diagnostics
 
+let write_envelope w ~command ?summary ?cls diagnostics =
+  Diag.write_envelope w ~tool:"gpgs" ~command ?summary ?cls diagnostics
+
 let to_string json = Json.to_string ~indent:true json
 
 (* ---- command-specific summaries ---- *)

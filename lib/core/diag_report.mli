@@ -11,6 +11,15 @@ val envelope :
   Pg_json.Json.t
 (** {!Pg_diag.Diag.envelope} with [tool = "gpgs"]. *)
 
+val write_envelope :
+  Pg_json.Json.writer ->
+  command:string ->
+  ?summary:(string * Pg_json.Json.t) list ->
+  ?cls:Pg_diag.Diag.Exit.cls ->
+  Pg_diag.Diag.t list ->
+  unit
+(** {!Pg_diag.Diag.write_envelope} with [tool = "gpgs"]. *)
+
 val to_string : Pg_json.Json.t -> string
 (** Indented rendering — the exact bytes the CLI prints. *)
 
