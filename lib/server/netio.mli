@@ -11,9 +11,10 @@
     instead of killing the daemon. *)
 
 type conn
-(** One connection's read state: the descriptor, any bytes received
-    beyond the last complete frame, and the one read buffer its reads
-    share.  A [conn] has one reader at a time. *)
+(** One connection's state: the descriptor, any bytes received beyond
+    the last complete frame, the one read buffer its reads share, and
+    the one output buffer its {!send}s share.  A [conn] has one reader
+    and one writer at a time. *)
 
 val conn : Unix.file_descr -> conn
 
@@ -43,3 +44,11 @@ val write_frame : Unix.file_descr -> string -> (unit, string) result
     looping over partial writes with [EINTR] retry.  A dead peer
     ([EPIPE], [ECONNRESET], ...) is an [Error], never an exception or a
     signal. *)
+
+val send : conn -> (Graphql_pg.Json.writer -> unit) -> (unit, string) result
+(** Write one frame: [emit] writes a compact JSON document through the
+    connection's output buffer, which goes to the socket each time it
+    fills, and [send] ends the line.  Partial writes and [EINTR] are
+    retried as in {!write_frame}; a dead peer is an [Error], with part
+    of the frame perhaps already sent, after which the connection must
+    be closed. *)

@@ -137,8 +137,8 @@ let run ?(stop = Atomic.make false) ?on_ready config service =
         Netio.read_frame ~max_bytes:config.max_request_bytes ~timeout_s ~should_stop conn
       with
       | Netio.Frame line -> (
-        let response = Service.handle service ~cancel line in
-        match Netio.write_frame fd response with
+        let response = Service.respond service ~cancel line in
+        match Netio.send conn (fun w -> Service.write w response) with
         | Ok () -> if should_stop () then () else loop ()
         | Error _ -> () (* peer is gone; nothing left to say *))
       | Netio.Oversized ->

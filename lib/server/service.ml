@@ -146,21 +146,37 @@ let requests_served t = Atomic.get t.requests
 
 (* ---- envelopes ---- *)
 
-let render_envelope ~command ?summary ?cls diags =
-  Protocol.render (GP.Diag_report.envelope ~command ?summary ?cls diags)
+(* A response is its envelope's parts, rendered only once the request
+   is done and the plan lock released: as a string by [handle], or
+   streamed into the connection by [write]. *)
+type response = {
+  command : string;
+  summary : (string * Json.t) list option;
+  cls : GP.Diag.Exit.cls option;
+  diags : GP.Diag.t list;
+}
+
+let envelope ~command ?summary ?cls diags = { command; summary; cls; diags }
+
+let to_line r =
+  Protocol.render (GP.Diag_report.envelope ~command:r.command ?summary:r.summary ?cls:r.cls r.diags)
+
+let write w r =
+  GP.Diag_report.write_envelope w ~command:r.command ?summary:r.summary ?cls:r.cls r.diags
 
 let srv_error ~command ~code ?subject ?cls message =
-  render_envelope ~command ?cls [ GP.Diag.error ~code ?subject message ]
+  envelope ~command ?cls [ GP.Diag.error ~code ?subject message ]
 
 let malformed msg = srv_error ~command:"serve" ~code:"SRV001" ("malformed request frame: " ^ msg)
 
 let oversized_response _t =
-  srv_error ~command:"serve" ~code:"SRV002" "request frame exceeds the server's size limit"
+  to_line (srv_error ~command:"serve" ~code:"SRV002" "request frame exceeds the server's size limit")
 
 let shed_response t =
   Atomic.incr t.shed;
-  srv_error ~command:"serve" ~code:"SRV004"
-    "server overloaded; the request was shed before execution"
+  to_line
+    (srv_error ~command:"serve" ~code:"SRV004"
+       "server overloaded; the request was shed before execution")
 
 (* ---- supervision ---- *)
 
@@ -310,13 +326,13 @@ let run_validate t ~cancel (r : Protocol.validate_req) =
           (Option.value deadline_ms ~default:0.)
       else []
     in
-    render_envelope ~command:"validate" ~summary:(VR.summary outcome) ?cls:(VR.cls outcome)
+    envelope ~command:"validate" ~summary:(VR.summary outcome) ?cls:(VR.cls outcome)
       (VR.diagnostics outcome @ server_diags)
 
 (* ---- other operations ---- *)
 
 let ping_response () =
-  render_envelope ~command:"ping" ~summary:[ ("pong", Json.Bool true) ] []
+  envelope ~command:"ping" ~summary:[ ("pong", Json.Bool true) ] []
 
 let cache_stats_json (s : Cache.stats) =
   Json.Assoc
@@ -342,7 +358,7 @@ let plan_entry_json key =
   | _ -> Json.Assoc [ ("schema", Json.String key) ]
 
 let stats_response t =
-  render_envelope ~command:"server-stats"
+  envelope ~command:"server-stats"
     ~summary:
       [
         ("requests", Json.Int (Atomic.get t.requests));
@@ -371,12 +387,12 @@ let health_response t =
       ("snapshot_cache", cache_stats_json (Cache.stats t.snapshots));
     ]
   in
-  render_envelope ~command:"server-health" ~summary:(base @ (Atomic.get t.probe) ()) []
+  envelope ~command:"server-health" ~summary:(base @ (Atomic.get t.probe) ()) []
 
 let debug_disabled op =
   malformed (Printf.sprintf "op %S is a debug operation (start the server with --debug-ops)" op)
 
-let handle t ?cancel line =
+let respond t ?cancel line =
   Atomic.incr t.requests;
   try
     match Protocol.parse line with
@@ -394,7 +410,7 @@ let handle t ?cancel line =
       | GP.Supervisor.Crashed crash -> crash_response t ~command:"boom" ~subject:"debug" crash)
     | Ok (Protocol.Debug_sleep s) ->
       Unix.sleepf (Float.max 0. s);
-      render_envelope ~command:"sleep" ~summary:[ ("slept_s", Json.Float s) ] []
+      envelope ~command:"sleep" ~summary:[ ("slept_s", Json.Float s) ] []
     | Ok (Protocol.Debug_stall s) ->
       (* A controllable wedged job: registered with a 0 ms deadline it
          then ignores, so only a cancellation — the watchdog's, or the
@@ -412,10 +428,12 @@ let handle t ?cancel line =
         srv_error ~command:"stall" ~code:"SRV006" ~subject:"debug"
           ~cls:GP.Diag.Exit.Budget
           "debug: stalled request cancelled by the watchdog"
-      else render_envelope ~command:"stall" ~summary:[ ("stalled_s", Json.Float s) ] []
+      else envelope ~command:"stall" ~summary:[ ("stalled_s", Json.Float s) ] []
   with e ->
     (* Nothing outside a supervised job should raise, but the worker
        must survive it if something does. *)
     Atomic.incr t.crashes;
     srv_error ~command:"serve" ~code:"SRV005"
       (Printf.sprintf "request handling crashed: %s" (Printexc.to_string e))
+
+let handle t ?cancel line = to_line (respond t ?cancel line)

@@ -39,13 +39,25 @@ type t
 
 val create : ?config:config -> unit -> t
 
+type response
+(** One executed request's envelope, not yet rendered. *)
+
+val respond : t -> ?cancel:bool Atomic.t -> string -> response
+(** Execute one request line.  Never raises: malformed requests become
+    [SRV001] envelopes and anything a job throws is caught by the
+    supervisor firewall and reported as [SRV005].  [cancel] is the
+    server's drain flag; budgeted requests re-check it when they
+    register, so a request starting mid-drain stops at its first
+    checkpoint.  Every lock the request took is released on return. *)
+
+val write : Graphql_pg.Json.writer -> response -> unit
+(** Write the response's envelope through a compact writer, one
+    diagnostic at a time: {!handle}'s line without its newline.  Raises
+    only what the writer's sink raises. *)
+
 val handle : t -> ?cancel:bool Atomic.t -> string -> string
-(** Execute one request line and return the response line (terminating
-    newline included).  Never raises: malformed requests become [SRV001]
-    envelopes and anything a job throws is caught by the supervisor
-    firewall and reported as [SRV005].  [cancel] is the server's drain
-    flag; budgeted requests re-check it when they register, so a
-    request starting mid-drain stops at its first checkpoint. *)
+(** {!respond}, rendered as the response line (terminating newline
+    included). *)
 
 val watchdog_sweep : t -> grace_ms:float -> int
 (** Cancel every registered job still running [grace_ms] past its own
