@@ -115,15 +115,18 @@ let normalize vs =
   in
   dedup [] sorted
 
-let pp_subject ppf = function
-  | Node v -> Format.fprintf ppf "node n%d" v
-  | Edge e -> Format.fprintf ppf "edge e%d" e
-  | Node_property (v, p) -> Format.fprintf ppf "property %S of node n%d" p v
-  | Edge_property (e, p) -> Format.fprintf ppf "property %S of edge e%d" p e
-  | Node_pair (a, b) -> Format.fprintf ppf "nodes n%d and n%d" a b
-  | Edge_pair (a, b) -> Format.fprintf ppf "edges e%d and e%d" a b
+(* Printf, not Format: one report renders a subject per violation, and a
+   formatter per string costs several times the string.  [%S] escapes
+   as Format's does. *)
+let subject_to_string = function
+  | Node v -> "node n" ^ string_of_int v
+  | Edge e -> "edge e" ^ string_of_int e
+  | Node_property (v, p) -> Printf.sprintf "property %S of node n%d" p v
+  | Edge_property (e, p) -> Printf.sprintf "property %S of edge e%d" p e
+  | Node_pair (a, b) -> Printf.sprintf "nodes n%d and n%d" a b
+  | Edge_pair (a, b) -> Printf.sprintf "edges e%d and e%d" a b
 
-let subject_to_string s = Format.asprintf "%a" pp_subject s
+let pp_subject ppf s = Format.pp_print_string ppf (subject_to_string s)
 
 let pp ppf v =
   Format.fprintf ppf "[%s] %a: %s (%s)" (rule_name v.rule) pp_subject v.subject v.message
