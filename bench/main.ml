@@ -550,7 +550,8 @@ let snapshot_reopen () =
 
 (* ------------------------------------------------------------------ *)
 (* E20 — the validation daemon (gpgs serve): client-storm throughput
-   over a unix socket, and what idle domains cost the one that works.
+   over a unix socket, what a large report costs the daemon, and what
+   idle domains cost the one that works.
 
    The daemon runs in a child process (the self-exec pattern of E17):
    the bench re-executes itself with E20_SERVE=workers:socket set, and
@@ -755,6 +756,73 @@ let e20_client_sweep ~cores ~persons ~workers sch_path pgf_path =
             ])
         counts)
 
+(* The large_report series: one client, requests whose report is at
+   least 256 KiB, on a daemon of its own, since VmHWM is a high-water
+   mark and the sweep's small reports would set it otherwise.  The
+   schema declares none of the social graph's labels, so every node,
+   edge and property is unjustified (SS1-SS4) and the report grows with
+   the graph. *)
+let e20_foreign_schema = "type Item {\n  name: String\n}\n"
+
+let e20_large_report ~cores ~workers =
+  let persons = 100 and requests = if fast then 20 else 100 in
+  let sch_path = Filename.temp_file "gpgs_e20" ".graphql" in
+  let pgf_path = Filename.temp_file "gpgs_e20" ".pgf" in
+  let sock = Filename.temp_file "gpgs_e20" ".sock" in
+  Out_channel.with_open_bin sch_path (fun oc -> output_string oc e20_foreign_schema);
+  Out_channel.with_open_bin pgf_path (fun oc ->
+    output_string oc (GP.Pgf.print (GP.Social.generate ~persons ())));
+  let pid = e20_spawn ~workers sock in
+  let frame =
+    GP.Json.to_string
+      (GP.Json.Assoc
+         [
+           ("op", GP.Json.String "validate");
+           ("schema", GP.Json.String sch_path);
+           ("graph", GP.Json.String pgf_path);
+         ])
+    ^ "\n"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      e20_stop pid;
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; sch_path; pgf_path ])
+    (fun () ->
+      (* the first request compiles the plan and gives the size *)
+      let response = e20_ask sock frame in
+      let bytes = String.length response in
+      if bytes < 256 * 1024 then failwith "E20: the large report is under 256 KiB";
+      let violations =
+        match GP.Json.of_string response with
+        | Ok j -> (
+          match GP.Json.member "diagnostics" j with GP.Json.List ds -> List.length ds | _ -> -1)
+        | Error e -> failwith ("E20: large report: " ^ e)
+      in
+      let t0 = Unix.gettimeofday () in
+      let lat = e20_sweep sock frame ~clients:1 ~per_client:requests in
+      let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      let rps = float_of_int requests /. (wall_ms /. 1000.) in
+      let p50 = median lat in
+      let hwm_kib = Option.value (vm_hwm_kb ~proc:(string_of_int pid) ()) ~default:0 in
+      Printf.printf
+        "  large report: %d requests of %d bytes (%d diagnostics): %.0f req/s, p50 %.2f ms, server peak %d KiB\n%!"
+        requests bytes violations rps p50 hwm_kib;
+      record "E20"
+        [
+          ("series", GP.Json.String "large_report");
+          ("cores", GP.Json.Int cores);
+          ("persons", GP.Json.Int persons);
+          ("workers", GP.Json.Int workers);
+          ("clients", GP.Json.Int 1);
+          ("requests", GP.Json.Int requests);
+          ("response_bytes", GP.Json.Int bytes);
+          ("diagnostics", GP.Json.Int violations);
+          ("wall_ms", GP.Json.Float wall_ms);
+          ("requests_per_sec", GP.Json.Float rps);
+          ("latency_p50_ms", GP.Json.Float p50);
+          ("server_peak_rss_kib", GP.Json.Int hwm_kib);
+        ])
+
 (* The idle company of the domain_tax series: [k] domains parked on a
    condition variable, or looping in a 200 ms select; the returned
    function releases them and joins them. *)
@@ -869,7 +937,8 @@ let e20_domain_tax ~cores pgf_path =
     e20_layouts
 
 let serve_storm () =
-  section "E20: validation service — client storm over a unix socket, and the domain tax";
+  section
+    "E20: validation service — client storm over a unix socket, a large report, and the domain tax";
   let write_file path text =
     let oc = open_out_bin path in
     output_string oc text;
@@ -889,6 +958,7 @@ let serve_storm () =
       (* the client-sweep rows come first: CI reads the first row's
          plan-cache counters *)
       e20_client_sweep ~cores ~persons ~workers:4 sch_path pgf_path;
+      e20_large_report ~cores ~workers:4;
       e20_domain_tax ~cores pgf_path)
 
 (* ------------------------------------------------------------------ *)
