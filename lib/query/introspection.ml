@@ -1,6 +1,7 @@
 module Sm = Map.Make (String)
 module Schema = Pg_schema.Schema
 module Wrapped = Pg_schema.Wrapped
+module Json = Pg_json.Json
 module Q = Query_ast
 
 exception Unsupported of string

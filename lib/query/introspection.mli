@@ -23,9 +23,9 @@
     newer clients degrade gracefully. *)
 
 val schema_field :
-  Pg_schema.Schema.t -> Query_ast.selection list -> (Json.t, string) result
+  Pg_schema.Schema.t -> Query_ast.selection list -> (Pg_json.Json.t, string) result
 (** Resolve a [__schema { ... }] selection. *)
 
 val type_field :
-  Pg_schema.Schema.t -> name:string -> Query_ast.selection list -> (Json.t, string) result
+  Pg_schema.Schema.t -> name:string -> Query_ast.selection list -> (Pg_json.Json.t, string) result
 (** Resolve [__type(name: ...) { ... }]; [Ok Null] for unknown names. *)

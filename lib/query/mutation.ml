@@ -6,6 +6,7 @@ module Wrapped = Pg_schema.Wrapped
 module Subtype = Pg_schema.Subtype
 module Inc = Pg_validation.Incremental
 module Violation = Pg_validation.Violation
+module Json = Pg_json.Json
 module Q = Query_ast
 
 type error = { path : string list; message : string; violations : Violation.t list }

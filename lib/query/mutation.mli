@@ -52,9 +52,9 @@ type error = {
 val pp_error : Format.formatter -> error -> unit
 
 val execute :
-  ?variables:(string * Json.t) list ->
+  ?variables:(string * Pg_json.Json.t) list ->
   Pg_validation.Incremental.t ->
   string ->
-  (Json.t * Pg_validation.Incremental.t, error) result
+  (Pg_json.Json.t * Pg_validation.Incremental.t, error) result
 (** [execute state text] parses [text] as a single [mutation { ... }]
     operation and runs its root fields left to right, transactionally. *)
