@@ -106,10 +106,6 @@ let relabel_node g v label =
   if not (mem_node g v) then invalid_arg "Property_graph.relabel_node: unknown node";
   { g with node_label = Im.add v label g.node_label }
 
-let relabel_edge g e label =
-  if not (mem_edge g e) then invalid_arg "Property_graph.relabel_edge: unknown edge";
-  { g with edge_label = Im.add e label g.edge_label }
-
 let adj_remove m v e =
   Im.update v (function Some l -> Some (List.filter (fun e' -> e' <> e) l) | None -> None) m
 
@@ -169,8 +165,6 @@ let nodes g = Im.fold (fun v _ acc -> v :: acc) g.node_label [] |> List.rev
 let edges g = Im.fold (fun e _ acc -> e :: acc) g.edge_label [] |> List.rev
 let fold_nodes f g acc = Im.fold (fun v _ acc -> f v acc) g.node_label acc
 let fold_edges f g acc = Im.fold (fun e _ acc -> f e acc) g.edge_label acc
-let iter_nodes f g = Im.iter (fun v _ -> f v) g.node_label
-let iter_edges f g = Im.iter (fun e _ -> f e) g.edge_label
 
 let array_of_ids count iter store =
   let n = count in
@@ -186,9 +180,9 @@ let array_of_ids count iter store =
     arr
   end
 
-let nodes_array g = array_of_ids (node_count g) Im.iter g.node_label
-let edges_array g = array_of_ids (edge_count g) Im.iter g.edge_label
-let to_arrays g = (nodes_array g, edges_array g)
+let to_arrays g =
+  ( array_of_ids (node_count g) Im.iter g.node_label,
+    array_of_ids (edge_count g) Im.iter g.edge_label )
 
 let equal g1 g2 =
   Im.equal String.equal g1.node_label g2.node_label

@@ -61,8 +61,6 @@ val relabel_node : t -> node -> string -> t
 (** Changes [lambda(v)]; used by fault injection.
     @raise Invalid_argument if the node is not in the graph. *)
 
-val relabel_edge : t -> edge -> string -> t
-
 val remove_edge : t -> edge -> t
 (** Removes the edge; no-op if absent. *)
 
@@ -115,20 +113,10 @@ val in_edges : t -> node -> edge list
 val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
 
-val iter_nodes : (node -> unit) -> t -> unit
-(** Like {!nodes} without materializing the list. *)
-
-val iter_edges : (edge -> unit) -> t -> unit
-
-val nodes_array : t -> node array
-(** All nodes in insertion order, snapshotted into a fresh array.  The
-    fast path for validation engines: a single allocation, O(1) slicing
-    for sharded traversal, no per-element list cells. *)
-
-val edges_array : t -> edge array
-
 val to_arrays : t -> node array * edge array
-(** [(nodes_array g, edges_array g)] in one call. *)
+(** All nodes and all edges in insertion order, each snapshotted into a
+    fresh array: one allocation per array, no per-element list cells.
+    {!Staging.of_graph} stages a graph from them. *)
 
 val equal : t -> t -> bool
 (** Structural equality (same ids, labels, endpoints, and properties).
