@@ -96,3 +96,5 @@ let whole text =
       (* no byte of [text] is ever written: sources are read-only *)
       Some (Bytes.unsafe_of_string text, String.length text)
     end
+
+type fault = { record : int; subject : string; text : string; message : string }

@@ -5,7 +5,7 @@ type source = Chunked.source
 let of_channel = Chunked.of_channel
 let of_string = Chunked.of_string
 
-type fault = { record : int; subject : string; text : string; message : string }
+type fault = Chunked.fault = { record : int; subject : string; text : string; message : string }
 
 type 'g outcome = {
   graph : 'g;
@@ -51,18 +51,10 @@ let read_pgf ?max_errors ?(on_fault = fun _ -> ()) source =
    with Stop -> ());
   make_outcome (Pgf.inc_columns b) (List.rev !faults) !exhausted !records
 
-let fault_of_graphml (gf : Graphml.fault) =
-  { record = gf.Graphml.f_record; subject = gf.f_subject; text = gf.f_raw; message = gf.f_message }
-
-let read_graphml ?max_errors ?(on_fault = fun _ -> ()) source =
-  match
-    Graphml.read_tolerant ?max_skipped:max_errors
-      ~on_fault:(fun gf -> on_fault (fault_of_graphml gf))
-      source
-  with
-  | Ok (graph, gfaults, exhausted, records) ->
-    Ok (make_outcome graph (List.map fault_of_graphml gfaults) exhausted records)
-  | Error e -> Error e
+let read_graphml ?max_errors ?on_fault source =
+  Result.map
+    (fun (graph, faults, exhausted, records) -> make_outcome graph faults exhausted records)
+    (Graphml.read_tolerant ?max_skipped:max_errors ?on_fault source)
 
 (* Quarantine files collect the raw text of skipped records, one per
    line, created lazily so a clean ingest leaves no file behind.  The
@@ -93,34 +85,31 @@ let with_quarantine path k =
     Option.iter Durable.abort !w;
     raise e
 
-let load_pgf ?max_errors ?quarantine path =
+(* Stream the file at [path] through [read], its faults into the
+   quarantine file; an I/O failure is [Error (io_error message)]. *)
+let load read ~io_error ?quarantine path =
   match
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let go on_fault = read_pgf ?max_errors ~on_fault (of_channel ic) in
+        let go on_fault = read ~on_fault (of_channel ic) in
         match quarantine with
         | None -> go (fun _ -> ())
         | Some qpath -> with_quarantine qpath go)
   with
-  | exception Sys_error message -> Result.Error { Pgf.line = 0; message }
-  | exception Unix.Unix_error (e, _, _) ->
-    Result.Error { Pgf.line = 0; message = Unix.error_message e }
-  | outcome -> Ok outcome
+  | exception Sys_error message -> Result.Error (io_error message)
+  | exception Unix.Unix_error (e, _, _) -> Result.Error (io_error (Unix.error_message e))
+  | r -> r
+
+let load_pgf ?max_errors ?quarantine path =
+  load
+    (fun ~on_fault source -> Ok (read_pgf ?max_errors ~on_fault source))
+    ~io_error:(fun message -> { Pgf.line = 0; message })
+    ?quarantine path
 
 let load_graphml ?max_errors ?quarantine path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let go on_fault = read_graphml ?max_errors ~on_fault (of_channel ic) in
-        match quarantine with
-        | None -> go (fun _ -> ())
-        | Some qpath -> with_quarantine qpath go)
-  with
-  | exception Sys_error message -> Result.Error { Graphml.message }
-  | exception Unix.Unix_error (e, _, _) ->
-    Result.Error { Graphml.message = Unix.error_message e }
-  | r -> r
+  load
+    (fun ~on_fault source -> read_graphml ?max_errors ~on_fault source)
+    ~io_error:(fun message -> { Graphml.message })
+    ?quarantine path
