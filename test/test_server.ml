@@ -647,6 +647,30 @@ let test_malformed_is_srv001 () =
   check_bool "SRV001" true (has_code "SRV001" j);
   check_int "input exit" 2 (exit_of j)
 
+(* An unknown engine or mode name is SRV001, and its message lists the
+   names the CLI accepts, in the CLI's order. *)
+let test_unknown_names_are_srv001 () =
+  let svc = service () in
+  let message field =
+    let line =
+      Printf.sprintf {|{"op":"validate","schema":%S,"graph":%S,%S:"fast"}|} movies_sdl movies_pgf
+        field
+    in
+    let j = decode (Service.handle svc line) in
+    check_int (field ^ ": input exit") 2 (exit_of j);
+    match Json.member "diagnostics" j with
+    | Json.List [ d ] ->
+      check_string (field ^ ": code") "SRV001" (match Json.member "code" d with Json.String c -> c | _ -> "?");
+      (match Json.member "message" d with Json.String m -> m | _ -> "?")
+    | _ -> Alcotest.failf "%s: expected one diagnostic" field
+  in
+  check_string "unknown engine"
+    {|malformed request frame: unknown engine "fast" (expected indexed, linear, naive, parallel, or sharded)|}
+    (message "engine");
+  check_string "unknown mode"
+    {|malformed request frame: unknown mode "fast" (expected strong, weak, or directives)|}
+    (message "mode")
+
 (* ---- live server: sockets, faults, drain ---- *)
 
 let connect path =
@@ -1031,6 +1055,8 @@ let suite =
       test_server_default_deadline_srv003;
     Alcotest.test_case "debug ops are gated" `Quick test_debug_ops_gate;
     Alcotest.test_case "malformed request is SRV001" `Quick test_malformed_is_srv001;
+    Alcotest.test_case "unknown engine and mode names are SRV001" `Quick
+      test_unknown_names_are_srv001;
     Alcotest.test_case "live: roundtrip over a unix socket" `Quick test_live_roundtrip;
     Alcotest.test_case "live: garbage frame keeps the connection" `Quick
       test_live_garbage_frame_keeps_connection;
