@@ -94,21 +94,9 @@ let load_schema ?lang ~lenient path =
 let pgf_error path e =
   Error (path, [ GP.Diag.error ~code:"IO001" (Format.asprintf "%a" GP.Pgf.pp_error e) ])
 
-(* A PGF graph for the string-level consumers (naive engine, stats,
-   query, repair, export)... *)
+(* A PGF graph for the string-level consumers (stats, query, repair,
+   export). *)
 let load_graph path = match GP.Pgf.load path with Ok g -> Ok g | Error e -> pgf_error path e
-
-(* ...and as staged columns for a snapshot build. *)
-let load_columns path =
-  match GP.Pgf.load_columns path with Ok s -> Ok s | Error e -> pgf_error path e
-
-(* Fault-tolerant ingestion (--stream / --quarantine / --max-input-errors):
-   malformed records become IO002/IO003 diagnostics and a possibly-partial
-   graph instead of a hard failure. *)
-let load_graph_streaming ?quarantine ?max_input_errors path =
-  match GP.Stream.load_pgf ?max_errors:max_input_errors ?quarantine path with
-  | Ok o -> Ok (o, GP.Diag_report.ingest_diagnostics ~file:path o)
-  | Error e -> pgf_error path e
 
 (* The schema compiled into a plan this process owns (see
    Validate_request.local): validate and batch hand it to the pipeline. *)
@@ -215,7 +203,7 @@ let snapshot_arg =
           "Treat the graph input as a binary snapshot written by $(b,gpgs snapshot build) \
            and reopen it with mmap instead of reparsing PGF text.  The diagnostic report \
            is byte-identical to the reparse path.  Incompatible with the streaming \
-           ingestion flags and with $(b,--engine naive).")
+           ingestion flags.")
 
 (* ---- parse ---- *)
 
@@ -308,23 +296,8 @@ let check_cmd =
 
 (* ---- validate ---- *)
 
-let engine_conv =
-  Arg.enum
-    [
-      ("indexed", GP.Validate.Indexed);
-      ("linear", GP.Validate.Linear);
-      ("naive", GP.Validate.Naive);
-      ("parallel", GP.Validate.Parallel);
-      ("sharded", GP.Validate.Sharded);
-    ]
-
-let mode_conv =
-  Arg.enum
-    [
-      ("strong", GP.Validate.Strong);
-      ("weak", GP.Validate.Weak);
-      ("directives", GP.Validate.Directives);
-    ]
+let engine_conv = Arg.enum GP.Validate.engines
+let mode_conv = Arg.enum GP.Validate.modes
 
 let shards_arg =
   Arg.(
@@ -689,16 +662,9 @@ let export_cmd =
 
 let snapshot_build_cmd =
   let run graph_path output stream quarantine max_input_errors fmt =
-    let streaming = stream || quarantine <> None || max_input_errors <> None in
-    let columns, ingest_diags =
-      if streaming then begin
-        let outcome, diags =
-          or_die ~fmt ~command:"snapshot"
-            (load_graph_streaming ?quarantine ?max_input_errors graph_path)
-        in
-        (outcome.GP.Stream.graph, diags)
-      end
-      else (or_die ~fmt ~command:"snapshot" (load_columns graph_path), [])
+    let columns, { VR.ingest_diags; _ } =
+      or_die ~fmt ~command:"snapshot"
+        (VR.load_columns ~stream ?quarantine ?max_input_errors graph_path)
     in
     (* a fresh symbol table: the file stores its own symbols, and the
        loader remaps them into whatever plan it is validated against *)

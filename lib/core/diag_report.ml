@@ -30,22 +30,10 @@ let schema_summary (sch : Pg_schema.Schema.t) =
     ("directives", count Pg_schema.Schema.directive_names);
   ]
 
-let engine_name = function
-  | Pg_validation.Validate.Naive -> "naive"
-  | Pg_validation.Validate.Linear -> "linear"
-  | Pg_validation.Validate.Indexed -> "indexed"
-  | Pg_validation.Validate.Parallel -> "parallel"
-  | Pg_validation.Validate.Sharded -> "sharded"
-
-let mode_name = function
-  | Pg_validation.Validate.Weak -> "weak"
-  | Pg_validation.Validate.Directives -> "directives"
-  | Pg_validation.Validate.Strong -> "strong"
-
 let validate_summary (r : Pg_validation.Validate.report) =
   [
-    ("engine", Json.String (engine_name r.engine));
-    ("mode", Json.String (mode_name r.mode));
+    ("engine", Json.String (Pg_validation.Validate.engine_name r.engine));
+    ("mode", Json.String (Pg_validation.Validate.mode_name r.mode));
     ("nodes", Json.Int r.nodes_checked);
     ("edges", Json.Int r.edges_checked);
     ("complete", Json.Bool r.complete);

@@ -24,8 +24,6 @@ val to_string : Pg_json.Json.t -> string
 (** Indented rendering — the exact bytes the CLI prints. *)
 
 val schema_summary : Pg_schema.Schema.t -> (string * Pg_json.Json.t) list
-val engine_name : Pg_validation.Validate.engine -> string
-val mode_name : Pg_validation.Validate.mode -> string
 val validate_summary : Pg_validation.Validate.report -> (string * Pg_json.Json.t) list
 val verdict_json : Pg_sat.Tableau.verdict -> Pg_json.Json.t
 val sat_summary : Pg_sat.Satisfiability.report -> (string * Pg_json.Json.t) list

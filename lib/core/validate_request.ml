@@ -30,7 +30,9 @@ let budget_usage ?deadline_ms ?max_violations ?retries () =
   | _, _, Some r when r < 0 -> negative "--retries" (string_of_int r)
   | _ -> None
 
-let streaming r = r.stream || r.quarantine <> None || r.max_input_errors <> None
+(* --quarantine and --max-input-errors imply --stream. *)
+let streaming ~stream ~quarantine ~max_input_errors =
+  stream || quarantine <> None || max_input_errors <> None
 
 (* A nonsensical count is a usage error up front, never a silent clamp;
    --shards only means something to the sharded engine. *)
@@ -47,14 +49,13 @@ let usage r =
         ~retries:r.retries ()
     with
     | Some _ as msg -> msg
-    | None when r.snapshot && streaming r ->
+    | None
+      when r.snapshot
+           && streaming ~stream:r.stream ~quarantine:r.quarantine
+                ~max_input_errors:r.max_input_errors ->
       Some
         "--snapshot input is already frozen; the streaming ingestion flags apply to PGF text \
          only"
-    | None when r.snapshot && r.engine = Validate.Naive ->
-      Some
-        "--engine naive validates the source graph text; use linear, indexed, parallel, or \
-         sharded with --snapshot"
     | None -> None)
 
 type ingest = {
@@ -94,10 +95,9 @@ let local plan =
 
 type supervised = unit -> Validate.report Supervisor.outcome
 
-(* The graph as its engine reads it: the naive oracle a thawed graph,
-   the compiled engines a snapshot — frozen from the text, or a file
-   loaded inside [exclusive]. *)
-type graph = Thawed of Pg_graph.Property_graph.t | Frozen of (unit -> Snapshot.t) | Snapshot_file
+(* The graph as every engine reads it: a snapshot frozen from the text,
+   or a file loaded inside [exclusive]. *)
+type graph = Frozen of (unit -> Snapshot.t) | Snapshot_file
 
 let ( let* ) r f = match r with Ok v -> f v | Error (file, diags) -> Unreadable (file, diags)
 
@@ -106,22 +106,13 @@ let no_ingest = { ingest_diags = []; ingest_summary = []; ingest_complete = true
 let pgf_error path e =
   Error (path, [ Diag.error ~code:"IO001" (Format.asprintf "%a" Pg_graph.Pgf.pp_error e) ])
 
-(* Ingest needs no plan, so it runs outside [exclusive]; so does the
-   freeze of the ingested columns. *)
-let ingest (r : request) held path =
-  let graph columns =
-    if r.engine = Validate.Naive then Thawed (Pg_graph.Staging.thaw columns)
-    else Frozen (held.freeze columns)
-  in
-  if r.snapshot then Ok (Snapshot_file, no_ingest)
-  else if streaming r then
-    match
-      Pg_graph.Stream.load_pgf ?max_errors:r.max_input_errors ?quarantine:r.quarantine path
-    with
+let load_columns ~stream ?quarantine ?max_input_errors path =
+  if streaming ~stream ~quarantine ~max_input_errors then
+    match Pg_graph.Stream.load_pgf ?max_errors:max_input_errors ?quarantine path with
     | Error e -> pgf_error path e
     | Ok o ->
       Ok
-        ( graph o.graph,
+        ( o.graph,
           {
             ingest_diags = Diag_report.ingest_diagnostics ~file:path o;
             ingest_summary = Diag_report.ingest_summary o;
@@ -130,7 +121,17 @@ let ingest (r : request) held path =
   else
     match Pg_graph.Pgf.load_columns path with
     | Error e -> pgf_error path e
-    | Ok columns -> Ok (graph columns, no_ingest)
+    | Ok columns -> Ok (columns, no_ingest)
+
+(* Ingest needs no plan, so it runs outside [exclusive]; so does the
+   freeze of the ingested columns. *)
+let ingest (r : request) held path =
+  if r.snapshot then Ok (Snapshot_file, no_ingest)
+  else
+    Result.map
+      (fun (columns, ingest) -> (Frozen (held.freeze columns), ingest))
+      (load_columns ~stream:r.stream ?quarantine:r.quarantine
+         ?max_input_errors:r.max_input_errors path)
 
 (* The engine call.  A sharded check of a snapshot runs on one domain
    unless the request names more (and its shard count defaults to the
@@ -145,8 +146,6 @@ let checker (r : request) held path graph =
       held.plan snap
   in
   match graph with
-  | Thawed g ->
-    Ok (fun gov -> Validate.check_compiled ~engine:r.engine ~mode:r.mode ~gov held.plan g)
   | Frozen snap -> Ok (on_snapshot (snap ()))
   | Snapshot_file -> (
     match held.snapshot path with Ok snap -> Ok (on_snapshot snap) | Error d -> Error (path, d))

@@ -43,14 +43,26 @@ val budget_usage :
 val usage : request -> string option
 (** The request's first usage error, as its [CLI001] message: a domain
     or shard count below 1, [--shards] off the sharded engine, a
-    {!budget_usage} error, and the streaming flags or the naive engine
-    with a snapshot. *)
+    {!budget_usage} error, and the streaming flags with a snapshot. *)
 
 type ingest = {
   ingest_diags : Pg_diag.Diag.t list;  (** [IO002]/[IO003] of a tolerant ingest *)
   ingest_summary : (string * Pg_json.Json.t) list;
   ingest_complete : bool;
 }
+
+val load_columns :
+  stream:bool ->
+  ?quarantine:string ->
+  ?max_input_errors:int ->
+  string ->
+  (Pg_graph.Staging.t * ingest, string * Pg_diag.Diag.t list) result
+(** Ingest a PGF file into staged columns, as {!run} does: strictly
+    ({!Pg_graph.Pgf.load_columns}), or fault-tolerantly
+    ({!Pg_graph.Stream.load_pgf}) when [stream] is set or either budget
+    flag is given.  A file that cannot be read is its path and an
+    [IO001] diagnostic.  [gpgs snapshot build] reads its graph
+    through it. *)
 
 type outcome =
   | Usage of string  (** a [CLI001] message; no file was read *)

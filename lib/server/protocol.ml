@@ -33,20 +33,19 @@ type request =
 
 let ( let* ) = Result.bind
 
-(* Same alternatives as the CLI's Arg.enum converters. *)
-let engine_of_string = function
-  | "indexed" -> Ok GP.Validate.Indexed
-  | "linear" -> Ok GP.Validate.Linear
-  | "naive" -> Ok GP.Validate.Naive
-  | "parallel" -> Ok GP.Validate.Parallel
-  | "sharded" -> Ok GP.Validate.Sharded
-  | s -> Error (Printf.sprintf "unknown engine %S (expected indexed, linear, naive, parallel, or sharded)" s)
+(* The CLI's alternatives (its Arg.enum converters read the same table):
+   "unknown mode "x" (expected strong, weak, or directives)". *)
+let of_names what table s =
+  match List.assoc_opt s table with
+  | Some x -> Ok x
+  | None ->
+    let names = List.map fst table in
+    let last = List.length names - 1 in
+    let listed = List.mapi (fun i n -> if i = last then "or " ^ n else n) names in
+    Error (Printf.sprintf "unknown %s %S (expected %s)" what s (String.concat ", " listed))
 
-let mode_of_string = function
-  | "strong" -> Ok GP.Validate.Strong
-  | "weak" -> Ok GP.Validate.Weak
-  | "directives" -> Ok GP.Validate.Directives
-  | s -> Error (Printf.sprintf "unknown mode %S (expected strong, weak, or directives)" s)
+let engine_of_string = of_names "engine" GP.Validate.engines
+let mode_of_string = of_names "mode" GP.Validate.modes
 
 (* Stricter than the CLI's converter on purpose: the wire names are the
    canonical two, no aliases. *)

@@ -1,9 +1,56 @@
-module G = Pg_graph.Property_graph
 module Value = Pg_graph.Value
 module Schema = Pg_schema.Schema
 module Wrapped = Pg_schema.Wrapped
 module Subtype = Pg_schema.Subtype
 module Values_w = Pg_schema.Values_w
+
+(* The graph of Definition 2.1 as plain data: lambda(v) is [v.label],
+   rho(e) is [(e.src, e.tgt)], sigma the sorted [props]. *)
+type node = { id : int; label : string; props : (string * Value.t) list }
+type edge = { id : int; label : string; src : node; tgt : node; props : (string * Value.t) list }
+type graph = { nodes : node list; edges : edge list }
+
+let of_graph g =
+  let module G = Pg_graph.Property_graph in
+  let node v = { id = G.node_id v; label = G.node_label g v; props = G.node_props g v } in
+  let nodes = List.map node (G.nodes g) in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (v : node) -> Hashtbl.replace by_id v.id v) nodes;
+  let edge e =
+    let v1, v2 = G.edge_ends g e in
+    {
+      id = G.edge_id e;
+      label = G.edge_label g e;
+      src = Hashtbl.find by_id (G.node_id v1);
+      tgt = Hashtbl.find by_id (G.node_id v2);
+      props = G.edge_props g e;
+    }
+  in
+  { nodes; edges = List.map edge (G.edges g) }
+
+(* A snapshot's elements in index order, their names read through the
+   symbol table it is frozen against. *)
+let of_snapshot st (snap : Pg_graph.Snapshot.t) =
+  let name = Pg_graph.Symtab.name st in
+  let props pool i =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.map (fun (k, v) -> (name k, v)) (Pg_graph.Props.bindings pool i))
+  in
+  let nodes =
+    Array.init snap.n (fun i ->
+        { id = snap.node_id.{i}; label = name snap.node_label.{i}; props = props snap.node_props i })
+  in
+  let edge j =
+    {
+      id = snap.edge_id.{j};
+      label = name snap.edge_label.{j};
+      src = nodes.(snap.edge_src.{j});
+      tgt = nodes.(snap.edge_tgt.{j});
+      props = props snap.edge_props j;
+    }
+  in
+  { nodes = Array.to_list nodes; edges = List.init snap.m edge }
 
 (* Budget-guarded folds.  With an inactive run ([Governor.no_run], the
    default) both are exactly [List.fold_left] — the unbudgeted
@@ -48,87 +95,80 @@ let tfold gov f acc xs =
 (* WS1: node properties must be of the required type *)
 let ws1 ?env gov sch g acc =
   gfold gov Governor.note_node_scans
-    (fun acc v ->
-      let label = G.node_label g v in
+    (fun acc (v : node) ->
       List.fold_left
         (fun acc (p, value) ->
-          match Schema.type_f sch label p with
+          match Schema.type_f sch v.label p with
           | Some t when Rules.is_attribute_type sch t ->
             if Values_w.mem ?env sch t value then acc
             else
               Violation.make Violation.WS1
-                (Violation.Node_property (G.node_id v, p))
+                (Violation.Node_property (v.id, p))
                 (Printf.sprintf "value %s is not in valuesW(%s)" (Value.to_string value)
                    (Wrapped.to_string t))
               :: acc
           | Some _ | None -> acc)
-        acc (G.node_props g v))
-    acc (G.nodes g)
+        acc v.props)
+    acc g.nodes
 
 (* WS2: edge properties must be of the required type *)
 let ws2 ?env gov sch g acc =
   gfold gov Governor.note_edge_scans
-    (fun acc e ->
-      let v1, _ = G.edge_ends g e in
-      let src_label = G.node_label g v1 and edge_label = G.edge_label g e in
+    (fun acc (e : edge) ->
       List.fold_left
         (fun acc (a, value) ->
-          match Schema.arg_type sch src_label edge_label a with
+          match Schema.arg_type sch e.src.label e.label a with
           | Some t ->
             if Values_w.mem ?env sch t value then acc
             else
               Violation.make Violation.WS2
-                (Violation.Edge_property (G.edge_id e, a))
+                (Violation.Edge_property (e.id, a))
                 (Printf.sprintf "value %s is not in valuesW(%s)" (Value.to_string value)
                    (Wrapped.to_string t))
               :: acc
           | None -> acc)
-        acc (G.edge_props g e))
-    acc (G.edges g)
+        acc e.props)
+    acc g.edges
 
 (* WS3: target nodes must be of the required type *)
 let ws3 gov sch g acc =
   gfold gov Governor.note_edge_scans
-    (fun acc e ->
-      let v1, v2 = G.edge_ends g e in
-      match Schema.type_f sch (G.node_label g v1) (G.edge_label g e) with
+    (fun acc (e : edge) ->
+      match Schema.type_f sch e.src.label e.label with
       | Some t ->
         let base = Wrapped.basetype t in
-        if Subtype.named sch (G.node_label g v2) base then acc
+        if Subtype.named sch e.tgt.label base then acc
         else
-          Violation.make Violation.WS3
-            (Violation.Edge (G.edge_id e))
+          Violation.make Violation.WS3 (Violation.Edge e.id)
             (Printf.sprintf "target node n%d has label %S, which is not a subtype of %S"
-               (G.node_id v2) (G.node_label g v2) base)
+               e.tgt.id e.tgt.label base)
           :: acc
       | None -> acc)
-    acc (G.edges g)
+    acc g.edges
 
 (* WS4: non-list fields contain at most one edge *)
 let ws4 gov sch g acc =
-  let edges = G.edges g in
   gfold gov Governor.note_edge_scans
-    (fun acc e1 ->
+    (fun acc (e1 : edge) ->
       tfold gov
-        (fun acc e2 ->
-          if G.edge_id e1 >= G.edge_id e2 then acc
+        (fun acc (e2 : edge) ->
+          if e1.id >= e2.id then acc
           else begin
-            let v1, _ = G.edge_ends g e1 and v1', _ = G.edge_ends g e2 in
-            let f = G.edge_label g e1 in
-            if G.node_id v1 = G.node_id v1' && String.equal f (G.edge_label g e2) then
-              match Schema.type_f sch (G.node_label g v1) f with
+            let v1 = e1.src and f = e1.label in
+            if v1.id = e2.src.id && String.equal f e2.label then
+              match Schema.type_f sch v1.label f with
               | Some t when not (Rules.multi_edge t) ->
                 Violation.make Violation.WS4
-                  (Violation.Edge_pair (G.edge_id e1, G.edge_id e2))
+                  (Violation.Edge_pair (e1.id, e2.id))
                   (Printf.sprintf
                      "node n%d has two %S edges but the field type %s is not a list type"
-                     (G.node_id v1) f (Wrapped.to_string t))
+                     v1.id f (Wrapped.to_string t))
                 :: acc
               | Some _ | None -> acc
             else acc
           end)
-        acc edges)
-    acc edges
+        acc g.edges)
+    acc g.edges
 
 let weak ?env ?(gov = Governor.no_run) sch g =
   [] |> ws1 ?env gov sch g |> ws2 ?env gov sch g |> ws3 gov sch g |> ws4 gov sch g
@@ -137,145 +177,135 @@ let weak ?env ?(gov = Governor.no_run) sch g =
 (* DS1 (@distinct): edges identified by nodes and label.
    Erratum normalized: the source-node condition is lambda(v1) <= t. *)
 let ds1 gov sch g acc =
-  let edges = G.edges g in
   tfold gov
     (fun acc (fc : Rules.field_constraint) ->
       gfold gov Governor.note_edge_scans
-        (fun acc e1 ->
+        (fun acc (e1 : edge) ->
           tfold gov
-            (fun acc e2 ->
-              if G.edge_id e1 >= G.edge_id e2 then acc
+            (fun acc (e2 : edge) ->
+              if e1.id >= e2.id then acc
               else begin
-                let v1, v2 = G.edge_ends g e1 and v1', v2' = G.edge_ends g e2 in
+                let v1 = e1.src and v2 = e1.tgt in
                 if
-                  G.node_id v1 = G.node_id v1'
-                  && G.node_id v2 = G.node_id v2'
-                  && String.equal (G.edge_label g e1) fc.Rules.field
-                  && String.equal (G.edge_label g e2) fc.Rules.field
-                  && Subtype.named sch (G.node_label g v1) fc.Rules.owner
+                  v1.id = e2.src.id
+                  && v2.id = e2.tgt.id
+                  && String.equal e1.label fc.Rules.field
+                  && String.equal e2.label fc.Rules.field
+                  && Subtype.named sch v1.label fc.Rules.owner
                 then
                   Violation.make Violation.DS1
-                    (Violation.Edge_pair (G.edge_id e1, G.edge_id e2))
+                    (Violation.Edge_pair (e1.id, e2.id))
                     (Printf.sprintf
                        "parallel %S edges between n%d and n%d violate @distinct on %s.%s"
-                       fc.Rules.field (G.node_id v1) (G.node_id v2) fc.Rules.owner
-                       fc.Rules.field)
+                       fc.Rules.field v1.id v2.id fc.Rules.owner fc.Rules.field)
                   :: acc
                 else acc
               end)
-            acc edges)
-        acc edges)
+            acc g.edges)
+        acc g.edges)
     acc
     (Rules.constrained_fields sch ~directive:"distinct")
 
 (* DS2 (@noLoops) *)
 let ds2 gov sch g acc =
-  let edges = G.edges g in
   tfold gov
     (fun acc (fc : Rules.field_constraint) ->
       gfold gov Governor.note_edge_scans
-        (fun acc e ->
-          let v1, v2 = G.edge_ends g e in
+        (fun acc (e : edge) ->
+          let v1 = e.src in
           if
-            G.node_id v1 = G.node_id v2
-            && String.equal (G.edge_label g e) fc.Rules.field
-            && Subtype.named sch (G.node_label g v1) fc.Rules.owner
+            v1.id = e.tgt.id
+            && String.equal e.label fc.Rules.field
+            && Subtype.named sch v1.label fc.Rules.owner
           then
-            Violation.make Violation.DS2
-              (Violation.Edge (G.edge_id e))
-              (Printf.sprintf "loop on node n%d violates @noLoops on %s.%s" (G.node_id v1)
+            Violation.make Violation.DS2 (Violation.Edge e.id)
+              (Printf.sprintf "loop on node n%d violates @noLoops on %s.%s" v1.id
                  fc.Rules.owner fc.Rules.field)
             :: acc
           else acc)
-        acc edges)
+        acc g.edges)
     acc
     (Rules.constrained_fields sch ~directive:"noLoops")
 
 (* DS3 (@uniqueForTarget).  Erratum normalized: both source nodes must be
    of (a subtype of) the declaring type t. *)
 let ds3 gov sch g acc =
-  let edges = G.edges g in
   tfold gov
     (fun acc (fc : Rules.field_constraint) ->
       gfold gov Governor.note_edge_scans
-        (fun acc e1 ->
+        (fun acc (e1 : edge) ->
           tfold gov
-            (fun acc e2 ->
-              if G.edge_id e1 >= G.edge_id e2 then acc
+            (fun acc (e2 : edge) ->
+              if e1.id >= e2.id then acc
               else begin
-                let v1, v3 = G.edge_ends g e1 and v2, v3' = G.edge_ends g e2 in
+                let v3 = e1.tgt in
                 if
-                  G.node_id v3 = G.node_id v3'
-                  && String.equal (G.edge_label g e1) fc.Rules.field
-                  && String.equal (G.edge_label g e2) fc.Rules.field
-                  && Subtype.named sch (G.node_label g v1) fc.Rules.owner
-                  && Subtype.named sch (G.node_label g v2) fc.Rules.owner
+                  v3.id = e2.tgt.id
+                  && String.equal e1.label fc.Rules.field
+                  && String.equal e2.label fc.Rules.field
+                  && Subtype.named sch e1.src.label fc.Rules.owner
+                  && Subtype.named sch e2.src.label fc.Rules.owner
                 then
                   Violation.make Violation.DS3
-                    (Violation.Edge_pair (G.edge_id e1, G.edge_id e2))
+                    (Violation.Edge_pair (e1.id, e2.id))
                     (Printf.sprintf
                        "node n%d has two incoming %S edges, violating @uniqueForTarget on %s.%s"
-                       (G.node_id v3) fc.Rules.field fc.Rules.owner fc.Rules.field)
+                       v3.id fc.Rules.field fc.Rules.owner fc.Rules.field)
                   :: acc
                 else acc
               end)
-            acc edges)
-        acc edges)
+            acc g.edges)
+        acc g.edges)
     acc
     (Rules.constrained_fields sch ~directive:"uniqueForTarget")
 
 (* DS4 (@requiredForTarget).  Erratum normalized: the target-node condition
    compares labels with basetype(typeS(t, f)). *)
 let ds4 gov sch g acc =
-  let nodes = G.nodes g and edges = G.edges g in
   tfold gov
     (fun acc (fc : Rules.field_constraint) ->
       let target_base = Wrapped.basetype fc.Rules.fd.Schema.fd_type in
       gfold gov Governor.note_node_scans
-        (fun acc v2 ->
-          if Subtype.named sch (G.node_label g v2) target_base then begin
+        (fun acc (v2 : node) ->
+          if Subtype.named sch v2.label target_base then begin
             let has_incoming =
               List.exists
-                (fun e ->
-                  let v1, v2' = G.edge_ends g e in
-                  G.node_id v2' = G.node_id v2
-                  && String.equal (G.edge_label g e) fc.Rules.field
-                  && Subtype.named sch (G.node_label g v1) fc.Rules.owner)
-                edges
+                (fun (e : edge) ->
+                  e.tgt.id = v2.id
+                  && String.equal e.label fc.Rules.field
+                  && Subtype.named sch e.src.label fc.Rules.owner)
+                g.edges
             in
             if has_incoming then acc
             else
-              Violation.make Violation.DS4
-                (Violation.Node (G.node_id v2))
+              Violation.make Violation.DS4 (Violation.Node v2.id)
                 (Printf.sprintf
                    "node n%d (%S) has no incoming %S edge required by @requiredForTarget on \
                     %s.%s"
-                   (G.node_id v2) (G.node_label g v2) fc.Rules.field fc.Rules.owner
-                   fc.Rules.field)
+                   v2.id v2.label fc.Rules.field fc.Rules.owner fc.Rules.field)
               :: acc
           end
           else acc)
-        acc nodes)
+        acc g.nodes)
     acc
     (Rules.constrained_fields sch ~directive:"requiredForTarget")
 
 (* DS5/DS6 (@required): property required for attribute definitions, edge
    required for relationship definitions. *)
 let ds56 gov sch g acc =
-  let nodes = G.nodes g and edges = G.edges g in
   tfold gov
     (fun acc (fc : Rules.field_constraint) ->
       let attr = Rules.is_attribute_type sch fc.Rules.fd.Schema.fd_type in
       gfold gov Governor.note_node_scans
-        (fun acc v ->
-          if not (Subtype.named sch (G.node_label g v) fc.Rules.owner) then acc
+        (fun acc (v : node) ->
+          if not (Subtype.named sch v.label fc.Rules.owner) then acc
           else if attr then begin
-            match G.node_prop g v fc.Rules.field with
+            match List.assoc_opt fc.Rules.field v.props with
             | None ->
               Violation.make Violation.DS5
-                (Violation.Node_property (G.node_id v, fc.Rules.field))
-                (Printf.sprintf "node n%d lacks the property %S required on %s.%s"
-                   (G.node_id v) fc.Rules.field fc.Rules.owner fc.Rules.field)
+                (Violation.Node_property (v.id, fc.Rules.field))
+                (Printf.sprintf "node n%d lacks the property %S required on %s.%s" v.id
+                   fc.Rules.field fc.Rules.owner fc.Rules.field)
               :: acc
             | Some value ->
               if Wrapped.is_list fc.Rules.fd.Schema.fd_type then begin
@@ -283,11 +313,11 @@ let ds56 gov sch g acc =
                 | Value.List (_ :: _) -> acc
                 | _ (* empty list, or a non-list value: WS1 reports the type error *) ->
                   Violation.make Violation.DS5
-                    (Violation.Node_property (G.node_id v, fc.Rules.field))
+                    (Violation.Node_property (v.id, fc.Rules.field))
                     (Printf.sprintf
                        "property %S of node n%d must be a nonempty list (required list \
                         attribute)"
-                       fc.Rules.field (G.node_id v))
+                       fc.Rules.field v.id)
                   :: acc
               end
               else acc
@@ -295,27 +325,22 @@ let ds56 gov sch g acc =
           else begin
             let has_edge =
               List.exists
-                (fun e ->
-                  let v1, _ = G.edge_ends g e in
-                  G.node_id v1 = G.node_id v
-                  && String.equal (G.edge_label g e) fc.Rules.field)
-                edges
+                (fun (e : edge) -> e.src.id = v.id && String.equal e.label fc.Rules.field)
+                g.edges
             in
             if has_edge then acc
             else
-              Violation.make Violation.DS6
-                (Violation.Node (G.node_id v))
-                (Printf.sprintf "node n%d lacks the outgoing %S edge required on %s.%s"
-                   (G.node_id v) fc.Rules.field fc.Rules.owner fc.Rules.field)
+              Violation.make Violation.DS6 (Violation.Node v.id)
+                (Printf.sprintf "node n%d lacks the outgoing %S edge required on %s.%s" v.id
+                   fc.Rules.field fc.Rules.owner fc.Rules.field)
               :: acc
           end)
-        acc nodes)
+        acc g.nodes)
     acc
     (Rules.constrained_fields sch ~directive:"required")
 
 (* DS7 (@key) *)
 let ds7 gov sch g acc =
-  let all_nodes = G.nodes g in
   tfold gov
     (fun acc (owner, key_fields) ->
       (* only key fields with attribute types participate (Definition 5.2) *)
@@ -327,28 +352,24 @@ let ds7 gov sch g acc =
             | None -> false)
           key_fields
       in
-      let nodes =
-        List.filter (fun v -> Subtype.named sch (G.node_label g v) owner) all_nodes
-      in
+      let nodes = List.filter (fun (v : node) -> Subtype.named sch v.label owner) g.nodes in
       gfold gov Governor.note_node_scans
-        (fun acc v1 ->
+        (fun acc (v1 : node) ->
           tfold gov
-            (fun acc v2 ->
-              if G.node_id v1 >= G.node_id v2 then acc
+            (fun acc (v2 : node) ->
+              if v1.id >= v2.id then acc
               else begin
                 let agree f =
-                  match G.node_prop g v1 f, G.node_prop g v2 f with
+                  match (List.assoc_opt f v1.props, List.assoc_opt f v2.props) with
                   | None, None -> true
                   | Some x1, Some x2 -> Value.equal x1 x2
                   | Some _, None | None, Some _ -> false
                 in
                 if List.for_all agree attribute_fields then
                   Violation.make Violation.DS7
-                    (Violation.Node_pair (G.node_id v1, G.node_id v2))
-                    (Printf.sprintf
-                       "distinct nodes n%d and n%d of type %s agree on key [%s]"
-                       (G.node_id v1) (G.node_id v2) owner
-                       (String.concat ", " key_fields))
+                    (Violation.Node_pair (v1.id, v2.id))
+                    (Printf.sprintf "distinct nodes n%d and n%d of type %s agree on key [%s]"
+                       v1.id v2.id owner (String.concat ", " key_fields))
                   :: acc
                 else acc
               end)
@@ -372,76 +393,67 @@ let strong_extra ?(gov = Governor.no_run) sch g =
   let acc = [] in
   let acc =
     gfold gov Governor.note_node_scans
-      (fun acc v ->
-        let label = G.node_label g v in
-        if Schema.type_kind sch label = Some Schema.Object then acc
+      (fun acc (v : node) ->
+        if Schema.type_kind sch v.label = Some Schema.Object then acc
         else
-          Violation.make Violation.SS1
-            (Violation.Node (G.node_id v))
-            (Printf.sprintf "label %S is not an object type of the schema" label)
+          Violation.make Violation.SS1 (Violation.Node v.id)
+            (Printf.sprintf "label %S is not an object type of the schema" v.label)
           :: acc)
-      acc (G.nodes g)
+      acc g.nodes
   in
   let acc =
     gfold gov Governor.note_node_scans
-      (fun acc v ->
-        let label = G.node_label g v in
-        if Schema.is_open sch label then acc
+      (fun acc (v : node) ->
+        if Schema.is_open sch v.label then acc
         else
         List.fold_left
           (fun acc (p, _) ->
-            match Schema.type_f sch label p with
+            match Schema.type_f sch v.label p with
             | Some t when Rules.is_attribute_type sch t -> acc
             | Some _ ->
               Violation.make Violation.SS2
-                (Violation.Node_property (G.node_id v, p))
+                (Violation.Node_property (v.id, p))
                 (Printf.sprintf "field %s.%s is a relationship definition, not an attribute"
-                   label p)
+                   v.label p)
               :: acc
             | None ->
               Violation.make Violation.SS2
-                (Violation.Node_property (G.node_id v, p))
-                (Printf.sprintf "no field %S is declared for type %S" p label)
+                (Violation.Node_property (v.id, p))
+                (Printf.sprintf "no field %S is declared for type %S" p v.label)
               :: acc)
-          acc (G.node_props g v))
-      acc (G.nodes g)
+          acc v.props)
+      acc g.nodes
   in
   let acc =
     gfold gov Governor.note_edge_scans
-      (fun acc e ->
-        let v1, _ = G.edge_ends g e in
-        let src_label = G.node_label g v1 and edge_label = G.edge_label g e in
+      (fun acc (e : edge) ->
         List.fold_left
           (fun acc (a, _) ->
-            match Schema.arg_type sch src_label edge_label a with
+            match Schema.arg_type sch e.src.label e.label a with
             | Some _ -> acc
             | None ->
               Violation.make Violation.SS3
-                (Violation.Edge_property (G.edge_id e, a))
-                (Printf.sprintf "no argument %S is declared for field %s.%s" a src_label
-                   edge_label)
+                (Violation.Edge_property (e.id, a))
+                (Printf.sprintf "no argument %S is declared for field %s.%s" a e.src.label
+                   e.label)
               :: acc)
-          acc (G.edge_props g e))
-      acc (G.edges g)
+          acc e.props)
+      acc g.edges
   in
   let acc =
     gfold gov Governor.note_edge_scans
-      (fun acc e ->
-        let v1, _ = G.edge_ends g e in
-        let src_label = G.node_label g v1 and edge_label = G.edge_label g e in
-        match Schema.type_f sch src_label edge_label with
+      (fun acc (e : edge) ->
+        match Schema.type_f sch e.src.label e.label with
         | Some t when not (Rules.is_attribute_type sch t) -> acc
         | Some _ ->
-          Violation.make Violation.SS4
-            (Violation.Edge (G.edge_id e))
+          Violation.make Violation.SS4 (Violation.Edge e.id)
             (Printf.sprintf "field %s.%s is an attribute definition and justifies no edges"
-               src_label edge_label)
+               e.src.label e.label)
           :: acc
         | None ->
-          Violation.make Violation.SS4
-            (Violation.Edge (G.edge_id e))
-            (Printf.sprintf "no field %S is declared for type %S" edge_label src_label)
+          Violation.make Violation.SS4 (Violation.Edge e.id)
+            (Printf.sprintf "no field %S is declared for type %S" e.label e.src.label)
           :: acc)
-      acc (G.edges g)
+      acc g.edges
   in
   Violation.normalize acc

@@ -15,6 +15,15 @@ type report = {
   engine : engine;
 }
 
+(* The names the CLI, the wire protocol and every report use, in the
+   CLI's order. *)
+let engines =
+  [ ("indexed", Indexed); ("linear", Linear); ("naive", Naive); ("parallel", Parallel); ("sharded", Sharded) ]
+
+let modes = [ ("strong", Strong); ("weak", Weak); ("directives", Directives) ]
+let name_in table x = fst (List.find (fun (_, y) -> y = x) table)
+let engine_name = name_in engines
+let mode_name = name_in modes
 let compile = Plan.compile
 
 let rules_of = function
@@ -23,7 +32,7 @@ let rules_of = function
   | Strong -> { Kernels.weak = true; dirs = true; strong = true }
 
 (* The string-level specification path: per-mode quadratic evaluation on
-   the raw graph, no plan involved. *)
+   the graph as data, no plan involved. *)
 let naive_violations ~mode ?env ?(run = Governor.no_run) sch g =
   match mode with
   | Weak -> Naive.weak ?env ~gov:run sch g
@@ -50,32 +59,33 @@ let report_of_counts ~mode ~engine run violations ~nodes_checked ~edges_checked 
     engine;
   }
 
-(* The string-level oracle over the raw graph. *)
+(* The string-level oracle over a graph. *)
 let check_naive ~mode ?env ~gov sch g =
   let run = Governor.start gov in
-  report_of_counts ~mode ~engine:Naive run (naive_violations ~mode ?env ~run sch g)
+  report_of_counts ~mode ~engine:Naive run
+    (naive_violations ~mode ?env ~run sch (Naive.of_graph g))
     ~nodes_checked:(G.node_count g) ~edges_checked:(G.edge_count g)
 
 (* Validation over a frozen snapshot (built from a graph, or mapped back
-   from disk): the compiled engines never touch the raw graph, only the
-   ctx.  Naive is the one engine that cannot — it is a string-level
-   oracle over the original Property_graph text, which a snapshot does
-   not retain.  Every compiled engine name runs the one schedule:
-   [Linear] and [Indexed] as one range on the calling domain, [Parallel]
-   with one range per domain. *)
+   from disk).  The naive oracle reads it as Definition 2.1's data, the
+   compiled engines as their ctx.  Every compiled engine name runs the
+   one schedule: [Linear] and [Indexed] as one range on the calling
+   domain, [Parallel] with one range per domain. *)
 let check_snapshot ?(engine = Indexed) ?(mode = Strong) ?env ?domains ?shards
     ?(gov = Governor.unlimited) plan snap =
   let run = Governor.start gov in
-  let ctx = Kernels.ctx_of_snap ?env ~gov:run plan snap in
-  let rs = rules_of mode in
+  let compiled ~domains ~shards =
+    Parallel.check_sharded ?domains ?shards (Kernels.ctx_of_snap ?env ~gov:run plan snap)
+      (rules_of mode)
+  in
   let violations =
     match engine with
     | Naive ->
-      invalid_arg
-        "Validate.check_snapshot: the naive engine needs the source graph, not a snapshot"
-    | Linear | Indexed -> Parallel.check_sharded ~domains:1 ~shards:1 ctx rs
-    | Parallel -> Parallel.check_sharded ?domains ?shards:domains ctx rs
-    | Sharded -> Parallel.check_sharded ?domains ?shards ctx rs
+      naive_violations ~mode ?env ~run (Plan.schema plan)
+        (Naive.of_snapshot (Plan.symtab plan) snap)
+    | Linear | Indexed -> compiled ~domains:(Some 1) ~shards:(Some 1)
+    | Parallel -> compiled ~domains ~shards:domains
+    | Sharded -> compiled ~domains ~shards
   in
   report_of_counts ~mode ~engine run violations ~nodes_checked:snap.Pg_graph.Snapshot.n
     ~edges_checked:snap.Pg_graph.Snapshot.m
@@ -134,14 +144,6 @@ let diagnostics report =
     :: ds
 
 let pp_report ppf report =
-  let mode_name = function Weak -> "weak" | Directives -> "directives" | Strong -> "strong" in
-  let engine_name = function
-    | Naive -> "naive"
-    | Linear -> "linear"
-    | Indexed -> "indexed"
-    | Parallel -> "parallel"
-    | Sharded -> "sharded"
-  in
   if not report.complete then begin
     (* Partial result: the scan counts are work units (per-rule engines
        visit an element once per rule), so they gauge progress, not a

@@ -4,13 +4,14 @@
     report; [conforms] answers the decision problem (does the graph
     {e strongly satisfy} the schema?).
 
-    All engines except [Naive] run on the compiled representation: the
-    schema is compiled once into a {!Pg_schema.Plan} (interned symbols,
-    bitset subtype matrix, per-label constraint tables) and the graph is
-    frozen into a {!Pg_graph.Snapshot} (CSR adjacency over the same
-    symbols).  [check] compiles per call; to amortize compilation across
-    many checks of the same schema, {!compile} once and use
-    {!check_compiled}. *)
+    The compiled engines run on the compiled representation: the schema
+    is compiled once into a {!Pg_schema.Plan} (interned symbols, bitset
+    subtype matrix, per-label constraint tables) and the graph is frozen
+    into a {!Pg_graph.Snapshot} (CSR adjacency over the same symbols).
+    [Naive] reads Definition 2.1's graph as data ({!Naive.graph}), from a
+    graph or from the same snapshot.  [check] compiles per call; to
+    amortize compilation across many checks of the same schema,
+    {!compile} once and use {!check_compiled}. *)
 
 type engine =
   | Naive  (** string-level executable specification; quadratic pair rules *)
@@ -30,6 +31,16 @@ type mode =
   | Weak  (** Definition 5.1: WS1–WS4 *)
   | Directives  (** Definition 5.2: DS1–DS7 *)
   | Strong  (** Definition 5.3: all fifteen rules *)
+
+val engines : (string * engine) list
+(** Every engine by the name the CLI, the wire protocol and the reports
+    use, in the order the CLI lists them. *)
+
+val modes : (string * mode) list
+(** Every mode by its name, likewise. *)
+
+val engine_name : engine -> string
+val mode_name : mode -> string
 
 type report = {
   violations : Violation.t list;  (** normalized: sorted, deduplicated *)
@@ -66,7 +77,8 @@ val check_compiled :
   Pg_graph.Property_graph.t ->
   report
 (** {!check} against a precompiled plan.  [Naive] ignores the compiled
-    tables and runs on the plan's schema; the compiled engines freeze the
+    tables and runs on the plan's schema over {!Naive.of_graph}; the
+    compiled engines freeze the
     graph ({!Pg_graph.Snapshot.build}, before [gov] starts counting) and
     run {!check_snapshot}.  Reusing one plan across checks is
     sequential-only (freezing a graph interns its labels into the plan's
@@ -86,10 +98,10 @@ val check_snapshot :
 (** {!check_compiled} over an already-frozen snapshot — typically one
     mapped back from disk by {!Pg_graph.Snapshot_io.load} against the
     plan's symbol table, which skips parsing and CSR construction
-    entirely.  The compiled engines produce reports byte-identical to
-    validating the source graph.  [Naive] is not available (it is a
-    string-level oracle over the original graph text):
-    @raise Invalid_argument if [engine = Naive]. *)
+    entirely.  Every engine produces the report of validating the source
+    graph, byte for byte; [Naive] reads the snapshot through
+    {!Naive.of_snapshot} and the plan's symbol table, and needs no
+    compiled tables. *)
 
 val check_mapped :
   ?mode:mode ->

@@ -11,7 +11,9 @@
      plan consumers (Linear, Indexed, Parallel) and Incremental — must
      produce byte-identical normalized reports, messages included.
    - Float key properties with nan and -0.0 must group consistently in
-     DS7 across all engines. *)
+     DS7 across all engines.
+   - Naive must read a snapshot as the graph it was frozen from: built,
+     written and loaded back, or rebased onto another symbol table. *)
 
 module G = Graphql_pg.Property_graph
 module Value = Graphql_pg.Value
@@ -58,6 +60,52 @@ let reports_byte_identical sch g =
 
 let seeded_rng seed = Random.State.make [| seed; 0xBEEF |]
 
+(* Naive over the graph and over three snapshots of it — frozen with
+   [Snapshot.build], written and loaded back with [Snapshot_io.load],
+   and rebased onto a second plan's symbol table, which holds decoy
+   names first so that the graph's names get other ids — must render
+   the same report byte for byte, in every mode, unbudgeted and under
+   violation caps. *)
+let naive_reads_snapshots sch g =
+  let module Snapshot = Graphql_pg.Snapshot in
+  let module Sio = Graphql_pg.Snapshot_io in
+  let module Plan = Graphql_pg.Plan in
+  let plan = Val.compile sch and other = Val.compile sch in
+  List.iter (fun name -> ignore (Graphql_pg.Symtab.intern (Plan.symtab other) name)) [ "zz"; "aa"; "p0" ];
+  let built = Snapshot.build (Plan.symtab plan) g in
+  let rebased = Snapshot.rebase ~src:(Plan.symtab plan) (Plan.symtab other) built in
+  let path = Filename.temp_file "gpgs_naive" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let st = Graphql_pg.Symtab.create () in
+      let loaded =
+        match Sio.write st (Snapshot.build st g) path with
+        | Error e -> Alcotest.failf "write: %a" Sio.pp_error e
+        | Ok () -> (
+          match Sio.load (Plan.symtab plan) path with
+          | Ok snap -> snap
+          | Error e -> Alcotest.failf "load: %a" Sio.pp_error e)
+      in
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun max_violations ->
+              let gov () =
+                match max_violations with
+                | None -> Graphql_pg.Governor.unlimited
+                | Some m -> Graphql_pg.Governor.make ~max_violations:m ()
+              in
+              let rendered r = Format.asprintf "%a" Val.pp_report r in
+              let on plan snap =
+                rendered (Val.check_snapshot ~engine:Val.Naive ~mode ~gov:(gov ()) plan snap)
+              in
+              let reference = rendered (Val.check ~engine:Val.Naive ~mode ~gov:(gov ()) sch g) in
+              List.for_all (String.equal reference)
+                [ on plan built; on plan loaded; on other rebased ])
+            [ None; Some 1; Some 3; Some 7 ])
+        [ Val.Weak; Val.Directives; Val.Strong ])
+
 (* Remove roughly 1/8 of the nodes and edges of a generated graph, so the
    surviving id spaces are sparse (ids are no longer contiguous and the
    arrays snapshotted by the engines skip holes). *)
@@ -99,6 +147,30 @@ let prop_engines_agree_on_decimated =
       let g = Graphql_pg.Social.generate ~seed ~persons:20 () in
       let g = decimate (seeded_rng seed) g in
       engines_agree sch g && reports_byte_identical sch g)
+
+let prop_naive_reads_snapshots_of_fuzz =
+  QCheck2.Test.make ~name:"naive reads snapshots of fuzz graphs as the graphs" ~count:100
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = seeded_rng seed in
+      let sch = Schema_gen.random_schema rng in
+      naive_reads_snapshots sch (Instance_gen.fuzz rng sch ~max_nodes:10))
+
+let prop_naive_reads_snapshots_of_social =
+  QCheck2.Test.make ~name:"naive reads snapshots of corrupted social graphs" ~count:10
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let sch = Graphql_pg.Social.schema () in
+      let g = Graphql_pg.Social.generate ~seed ~persons:30 () in
+      naive_reads_snapshots sch (Graphql_pg.Social.corrupt_uniformly ~seed ~rate:0.1 sch g))
+
+let prop_naive_reads_snapshots_of_decimated =
+  QCheck2.Test.make ~name:"naive reads snapshots of graphs with sparse ids" ~count:20
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let sch = Graphql_pg.Social.schema () in
+      let g = Graphql_pg.Social.generate ~seed ~persons:20 () in
+      naive_reads_snapshots sch (decimate (seeded_rng seed) g))
 
 let prop_conformant_graphs_validate =
   QCheck2.Test.make ~name:"Instance_gen.conformant graphs strongly satisfy" ~count:40
@@ -199,6 +271,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engines_agree_on_fuzz;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_social;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_decimated;
+    QCheck_alcotest.to_alcotest prop_naive_reads_snapshots_of_fuzz;
+    QCheck_alcotest.to_alcotest prop_naive_reads_snapshots_of_social;
+    QCheck_alcotest.to_alcotest prop_naive_reads_snapshots_of_decimated;
     QCheck_alcotest.to_alcotest prop_conformant_graphs_validate;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_float_keys;
     Alcotest.test_case "DS7 float key edge cases" `Quick test_float_key_collisions;

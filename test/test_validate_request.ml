@@ -65,10 +65,6 @@ let check_usage ~what ~message j =
 
 (* ---- one table of usage errors, three front doors ---- *)
 
-let naive_snapshot =
-  "--engine naive validates the source graph text; use linear, indexed, parallel, or sharded \
-   with --snapshot"
-
 type row = {
   what : string;
   schema : string;
@@ -89,9 +85,6 @@ let rows =
       "--shards must be at least 1 (got 0)";
     row "shards off the sharded engine" "--shards 2" ~fields:[ ("shards", i 2) ]
       "--shards applies to --engine sharded only";
-    row "naive with a snapshot" "--snapshot --engine naive"
-      ~fields:[ ("snapshot", Json.Bool true); ("engine", s "naive") ]
-      naive_snapshot;
     row "streaming with a snapshot" "--snapshot --stream"
       "--snapshot input is already frozen; the streaming ingestion flags apply to PGF text only";
     row "negative deadline" "--deadline-ms=-1" ~fields:[ ("deadline_ms", i (-1)) ]
@@ -101,9 +94,9 @@ let rows =
     row "negative retries" "--retries=-1" "--retries must be non-negative (got -1)";
     (* a usage error beats a broken schema: usage is answered before any
        file is read *)
-    row "usage error with a broken schema" ~schema:broken_sdl "--snapshot --engine naive"
-      ~fields:[ ("snapshot", Json.Bool true); ("engine", s "naive") ]
-      naive_snapshot;
+    row "usage error with a broken schema" ~schema:broken_sdl "--domains 0"
+      ~fields:[ ("domains", i 0) ]
+      "--domains must be at least 1 (got 0)";
   ]
 
 let test_usage_table () =
