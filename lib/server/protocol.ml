@@ -33,8 +33,8 @@ type request =
 
 let ( let* ) = Result.bind
 
-(* The CLI's alternatives (its Arg.enum converters read the same table):
-   "unknown mode "x" (expected strong, weak, or directives)". *)
+(* The CLI's alternatives, from the table its Arg.enum converters read:
+   [unknown mode "x" (expected strong, weak, or directives)]. *)
 let of_names what table s =
   match List.assoc_opt s table with
   | Some x -> Ok x

@@ -13,20 +13,12 @@ type graph = { nodes : node list; edges : edge list }
 let of_graph g =
   let module G = Pg_graph.Property_graph in
   let node v = { id = G.node_id v; label = G.node_label g v; props = G.node_props g v } in
-  let nodes = List.map node (G.nodes g) in
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun (v : node) -> Hashtbl.replace by_id v.id v) nodes;
   let edge e =
     let v1, v2 = G.edge_ends g e in
-    {
-      id = G.edge_id e;
-      label = G.edge_label g e;
-      src = Hashtbl.find by_id (G.node_id v1);
-      tgt = Hashtbl.find by_id (G.node_id v2);
-      props = G.edge_props g e;
-    }
+    let id = G.edge_id e and props = G.edge_props g e in
+    { id; label = G.edge_label g e; src = node v1; tgt = node v2; props }
   in
-  { nodes; edges = List.map edge (G.edges g) }
+  { nodes = List.map node (G.nodes g); edges = List.map edge (G.edges g) }
 
 (* A snapshot's elements in index order, their names read through the
    symbol table it is frozen against. *)
@@ -39,7 +31,8 @@ let of_snapshot st (snap : Pg_graph.Snapshot.t) =
   in
   let nodes =
     Array.init snap.n (fun i ->
-        { id = snap.node_id.{i}; label = name snap.node_label.{i}; props = props snap.node_props i })
+        let label = name snap.node_label.{i} in
+        { id = snap.node_id.{i}; label; props = props snap.node_props i })
   in
   let edge j =
     {

@@ -47,11 +47,19 @@ val of_snapshot : Pg_graph.Symtab.t -> Pg_graph.Snapshot.t -> graph
     loaded or rebased onto that plan). *)
 
 val weak :
-  ?env:Pg_schema.Values_w.env -> ?gov:Governor.run -> Pg_schema.Schema.t -> graph -> Violation.t list
+  ?env:Pg_schema.Values_w.env ->
+  ?gov:Governor.run ->
+  Pg_schema.Schema.t ->
+  graph ->
+  Violation.t list
 (** Rules WS1–WS4 (Definition 5.1), normalized. *)
 
 val directives :
-  ?env:Pg_schema.Values_w.env -> ?gov:Governor.run -> Pg_schema.Schema.t -> graph -> Violation.t list
+  ?env:Pg_schema.Values_w.env ->
+  ?gov:Governor.run ->
+  Pg_schema.Schema.t ->
+  graph ->
+  Violation.t list
 (** Rules DS1–DS7 (Definition 5.2), normalized. *)
 
 val strong_extra : ?gov:Governor.run -> Pg_schema.Schema.t -> graph -> Violation.t list

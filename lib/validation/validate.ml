@@ -18,7 +18,10 @@ type report = {
 (* The names the CLI, the wire protocol and every report use, in the
    CLI's order. *)
 let engines =
-  [ ("indexed", Indexed); ("linear", Linear); ("naive", Naive); ("parallel", Parallel); ("sharded", Sharded) ]
+  [
+    ("indexed", Indexed); ("linear", Linear); ("naive", Naive); ("parallel", Parallel);
+    ("sharded", Sharded);
+  ]
 
 let modes = [ ("strong", Strong); ("weak", Weak); ("directives", Directives) ]
 let name_in table x = fst (List.find (fun (_, y) -> y = x) table)
