@@ -864,8 +864,7 @@ let test_live_storm_then_drain () =
 
 (* The watchdog beats from the accepting domain.  A lone connection's
    CPU-bound validate (the naive engine on a 1 000-person graph, about
-   2 s; the graph grew from 200 persons when the naive engine moved onto
-   records and got about 12 times faster) must not starve it: a second connection's wedged request is still
+   2 s) must not starve it: a second connection's wedged request is still
    cancelled within the grace plus one beat of the accept loop's 200 ms
    select, while the validate is still running.  Stopping then drains:
    the unbudgeted validate is waited for and answered. *)
