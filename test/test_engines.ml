@@ -71,7 +71,9 @@ let naive_reads_snapshots sch g =
   let module Sio = Graphql_pg.Snapshot_io in
   let module Plan = Graphql_pg.Plan in
   let plan = Val.compile sch and other = Val.compile sch in
-  List.iter (fun name -> ignore (Graphql_pg.Symtab.intern (Plan.symtab other) name)) [ "zz"; "aa"; "p0" ];
+  List.iter
+    (fun name -> ignore (Graphql_pg.Symtab.intern (Plan.symtab other) name))
+    [ "zz"; "aa"; "p0" ];
   let built = Snapshot.build (Plan.symtab plan) g in
   let rebased = Snapshot.rebase ~src:(Plan.symtab plan) (Plan.symtab other) built in
   let path = Filename.temp_file "gpgs_naive" ".snap" in

@@ -435,6 +435,6 @@ let suite =
     Alcotest.test_case "the fixture validates as its PGF" `Quick test_fixture_validates;
     Alcotest.test_case "info reads the header back" `Quick test_info;
     Alcotest.test_case "missing file is IO001" `Quick test_missing_file;
-    Alcotest.test_case "naive engine reads a loaded snapshot" `Quick test_naive_reads_snapshots;
+    Alcotest.test_case "naive engine reads snapshots" `Quick test_naive_reads_snapshots;
   ]
   @ qsuite
